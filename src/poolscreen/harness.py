@@ -322,6 +322,8 @@ def _run_trial(payload) -> dict:
         "tn": counts.true_neg,
         "fn": counts.false_neg,
         "comp_violations": _comp_violations(signal, outcome, cfg.s),
+        # parts whose best candidate's load search hit the iteration cap
+        "nonconverged": sum(not d.converged for d in outcome.diagnostics),
         "support": [int(j) for j in signal.support],
         "estimate": [int(j) for j in outcome.estimated_support],
     }

@@ -179,12 +179,17 @@ def estimate_pool_count(
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Projected gradient ascent over the load box, with backtracking."""
+    """Multi-start projected Newton ascent over the load box (see _optimize_loads).
+
+    Each start takes Newton steps on the coordinates not held at a bound,
+    with Armijo backtracking from the full step; a single-column candidate
+    is solved in closed form instead.
+    """
 
     starts: int = 5  # 1 reading-proportional start + the rest uniform
-    iters: int = 500
-    rel_tol: float = 1e-9
-    armijo: float = 1e-4
+    iters: int = 500  # cap on Newton iterations per start
+    rel_tol: float = 1e-9  # a start settles once a step's predicted gain is below this, relative
+    armijo: float = 1e-4  # sufficient-increase fraction of the backtracking
     seed: int = 0  # stream for the random starts when no generator is passed
 
     def __post_init__(self):
@@ -346,14 +351,87 @@ class _Scorer:
         return phi + prior + self.const, loads, conv
 
 
-def _optimize_loads(A, v, sig2, lo, hi, opt: OptimizerSettings, rng: np.random.Generator):
-    """Multi-start projected gradient ascent of the load log-objective.
+def _load_objective(A, X, v, sig2):
+    """phi(x) = sum_i u_i - (v_i - u_i)^2 / (2 sig2), u = ln(A x), per row of X.
 
-    A: (N, m, k) pooling patterns, v: (m,) debiased log readings.  Returns
-    the best objective value and maximizer per instance.
+    Returns phi (P,) and the pooled loads y = A x (P, m).
+    """
+    y = np.matmul(A, X[:, :, None])[:, :, 0]
+    u = np.log(y)
+    r = v - u
+    return (u - r * r / (2.0 * sig2)).sum(axis=1), y
+
+
+def _newton_direction(H, g, X, lo, hi):
+    """Projected Newton ascent direction for a batch of box-constrained problems.
+
+    H is the negative Hessian (P, k, k) and g the gradient (P, k) at X.  A
+    coordinate on a bound whose gradient points out of the box is frozen: its
+    step is zero and it is dropped from the Newton system.  The free block of
+    H can be indefinite once a row's residual v - u falls below -(1 + sig2);
+    it is then shifted by its smallest eigenvalue until positive definite.
+    A free coordinate on a bound that the step would push out of the box is
+    frozen too, and the system solved again without it.
+    """
+    k = g.shape[1]
+    free = ~(((X <= lo) & (g < 0)) | ((X >= hi) & (g > 0)))
+    eye = np.eye(k)
+    mag = np.abs(H).max(axis=(1, 2))
+    # frozen coordinates get a diagonal above every free eigenvalue (Gershgorin),
+    # so the smallest eigenvalue below is the free block's
+    frozen_diag = (k * mag + 1.0)[:, None, None] * eye
+
+    def masked(free):
+        pair = free[:, :, None] & free[:, None, :]
+        return np.where(pair, H, frozen_diag), np.where(free, g, 0.0)
+
+    Hf, gf = masked(free)
+    lam = np.linalg.eigvalsh(Hf)[:, 0]
+    tiny = 1e-9 * mag + np.finfo(float).tiny
+    # a positive definite block stays as it is; otherwise its smallest
+    # eigenvalue is lifted to tiny + |lam|
+    shift = np.where(lam >= tiny, 0.0, tiny - 2.0 * np.minimum(lam, 0.0))[:, None, None] * eye
+    # ends: each pass that does not return freezes a coordinate, and with
+    # every coordinate frozen d = 0
+    while True:
+        d = np.linalg.solve(Hf + shift, gf[:, :, None])[:, :, 0]
+        out = free & (((X <= lo) & (d < 0)) | ((X >= hi) & (d > 0)))
+        if not out.any():
+            return d
+        free &= ~out
+        Hf, gf = masked(free)
+
+
+# Candidates whose starts share one batch of Newton iterations.  The starts
+# are independent, so this bounds the working memory of a large call
+# without changing any result.
+_NEWTON_BLOCK = 256
+
+
+def _optimize_loads(A, v, sig2, lo, hi, opt: OptimizerSettings, rng: np.random.Generator):
+    """Multi-start projected Newton ascent of the load log-objective.
+
+    A: (N, m, k) pooling patterns in which every row pools at least one
+    column, v: (m,) debiased log readings.  Maximizes phi (see
+    _load_objective) over the box [lo, hi]^k from opt.starts starts per
+    instance: one that splits each reading evenly over the columns it pools,
+    and opt.starts - 1 uniform draws, each run by _newton_ascent.
+
+    With k = 1 every row pools the single column, so phi is concave in
+    u = ln x and peaks at x = exp(mean(v) + sig2) clipped to the box; that
+    closed form replaces the search.  The uniform starts are drawn in every
+    case, so rng advances by the same (N, starts - 1, k) draw either way.
+
+    Returns the best objective value, its maximizer and whether that start
+    converged, per instance.
     """
     N, m, k = A.shape
     S = opt.starts
+    starts = rng.uniform(lo, hi, size=(N, S - 1, k)) if S > 1 else np.empty((N, 0, k))
+    if k == 1:
+        X = np.full((N, 1), min(max(math.exp(v.mean() + sig2), lo), hi))
+        return _load_objective(A, X, v, sig2)[0], X, np.ones(N, dtype=bool)
+
     # heuristic start: split each reading evenly over the columns it pools,
     # then average the per-column shares over the rows that see the column
     cnt = A.sum(axis=2)  # (N, m)
@@ -362,68 +440,75 @@ def _optimize_loads(A, v, sig2, lo, hi, opt: OptimizerSettings, rng: np.random.G
     x0 = np.einsum("nmk,nm->nk", A, shares) / np.maximum(colw, 1.0)
     x0[colw == 0] = 0.5 * (lo + hi)
     np.clip(x0, lo, hi, out=x0)
-    X = np.empty((N, S, k))
-    X[:, 0, :] = x0
-    if S > 1:
-        X[:, 1:, :] = rng.uniform(lo, hi, size=(N, S - 1, k))
-
-    AF = np.repeat(A, S, axis=0)  # (N*S, m, k)
-    XF = np.ascontiguousarray(X.reshape(N * S, k))
-    P = N * S
-
-    def phi_parts(Af, Xf):
-        y = np.matmul(Af, Xf[:, :, None])[:, :, 0]
-        u = np.log(y)
-        r = v[None, :] - u
-        return (u - r * r / (2.0 * sig2)).sum(axis=1), u, y
-
-    G, U, Y = phi_parts(AF, XF)
-    tau = np.full(P, hi - lo)
-    settled = np.zeros(P, dtype=bool)
-    alive = np.arange(P)
-    for _ in range(opt.iters):
-        if alive.size == 0:
-            break
-        Ai = AF[alive]
-        Xi = XF[alive]
-        Gi = G[alive]
-        Wi = (1.0 + (v[None, :] - U[alive]) / sig2) / Y[alive]
-        g = np.matmul(Ai.transpose(0, 2, 1), Wi[:, :, None])[:, :, 0]
-        ti = tau[alive]
-        ok = np.zeros(alive.size, dtype=bool)
-        Xc, Gc, Uc, Yc = Xi.copy(), Gi.copy(), U[alive].copy(), Y[alive].copy()
-        pend = np.arange(alive.size)
-        for _ in range(60):
-            trial = np.clip(Xi[pend] + ti[pend, None] * g[pend], lo, hi)
-            Gt, Ut, Yt = phi_parts(Ai[pend], trial)
-            rhs = Gi[pend] + opt.armijo * ((trial - Xi[pend]) * g[pend]).sum(axis=1)
-            good = Gt >= rhs
-            hit = pend[good]
-            Xc[hit] = trial[good]
-            Gc[hit] = Gt[good]
-            Uc[hit] = Ut[good]
-            Yc[hit] = Yt[good]
-            ok[hit] = True
-            pend = pend[~good]
-            if pend.size == 0:
-                break
-            ti[pend] *= 0.5
-        # instances that exhausted backtracking sit at a projection fixed point
-        conv = ~ok | (Gc - Gi <= opt.rel_tol * (1.0 + np.abs(Gc)))
-        XF[alive] = Xc
-        G[alive] = Gc
-        U[alive] = Uc
-        Y[alive] = Yc
-        tau[alive] = np.where(ok, ti * 1.3, ti)
-        settled[alive[conv]] = True
-        alive = alive[~conv]
-
-    G = G.reshape(N, S)
-    XF = XF.reshape(N, S, k)
-    settled = settled.reshape(N, S)
+    X = np.concatenate([x0[:, None, :], starts], axis=1)  # (N, S, k)
+    G = np.empty((N, S))
+    settled = np.empty((N, S), dtype=bool)
+    for first in range(0, N, _NEWTON_BLOCK):
+        block = slice(first, first + _NEWTON_BLOCK)
+        n = X[block].shape[0]
+        g, x, c = _newton_ascent(np.repeat(A[block], S, axis=0), X[block].reshape(n * S, k),
+                                 v, sig2, lo, hi, opt)
+        G[block], X[block], settled[block] = g.reshape(n, S), x.reshape(n, S, k), c.reshape(n, S)
     best = G.argmax(axis=1)
     rows = np.arange(N)
-    return G[rows, best], XF[rows, best], settled[rows, best]
+    return G[rows, best], X[rows, best], settled[rows, best]
+
+
+def _newton_ascent(A, X, v, sig2, lo, hi, opt: OptimizerSettings):
+    """Run projected Newton ascent from each start; A: (P, m, k), X: (P, k).
+
+    Each iteration takes the step of _newton_direction with Armijo
+    backtracking from t = 1.  A start settles when the step's predicted gain
+    g.d is at most opt.rel_tol * (1 + |phi|) (that last step is still tried
+    once), or when backtracking finds no ascent; it is non-converged if
+    opt.iters iterations pass first.  Returns phi, the final loads and the
+    settled flags, per start.
+    """
+    P = X.shape[0]
+    G, Y = _load_objective(A, X, v, sig2)
+    X = X.copy()
+    settled = np.zeros(P, dtype=bool)
+
+    # the unsettled starts, compacted whenever some settle
+    alive = np.arange(P)
+    Aa, Xa, Ga, Ya = A, X.copy(), G.copy(), Y
+    for _ in range(opt.iters):
+        AaT = Aa.transpose(0, 2, 1)
+        r = v - np.log(Ya)
+        q = (1.0 + r / sig2) / Ya  # d phi / d y
+        g = np.matmul(AaT, q[:, :, None])[:, :, 0]
+        w = (1.0 + (1.0 + r) / sig2) / (Ya * Ya)  # - d2 phi / d y2
+        H = np.matmul(AaT * w[:, None, :], Aa)
+        d = _newton_direction(H, g, Xa, lo, hi)
+        final = (g * d).sum(axis=1) <= opt.rel_tol * (1.0 + np.abs(Ga))
+
+        # projected Armijo backtracking; a final step gets one try at t = 1
+        t = np.ones(alive.size)
+        ok = np.zeros(alive.size, dtype=bool)
+        Xn, Gn, Yn = Xa.copy(), Ga.copy(), Ya.copy()
+        pend = np.arange(alive.size)
+        for _ in range(60):
+            trial = np.clip(Xa[pend] + t[pend, None] * d[pend], lo, hi)
+            Gt, Yt = _load_objective(Aa[pend], trial, v, sig2)
+            gain = ((trial - Xa[pend]) * g[pend]).sum(axis=1)
+            good = Gt >= Ga[pend] + opt.armijo * np.maximum(gain, 0.0)
+            hit = pend[good]
+            Xn[hit], Gn[hit], Yn[hit] = trial[good], Gt[good], Yt[good]
+            ok[hit] = True
+            pend = pend[~good & ~final[pend]]
+            if pend.size == 0:
+                break
+            t[pend] *= 0.5
+        # a start whose backtracking found no ascent sits at a stationary point
+        done = final | ~ok
+        X[alive], G[alive] = Xn, Gn
+        settled[alive[done]] = True
+        keep = ~done
+        alive = alive[keep]
+        if alive.size == 0:
+            break
+        Aa, Xa, Ga, Ya = Aa[keep], Xn[keep], Gn[keep], Yn[keep]
+    return G, X, settled
 
 
 def score_subset(

@@ -19,6 +19,7 @@ from .matrices import BUILTIN_PROFILES, builtin_matrix, profile_sample
 from .model import LoadLaw, NoiseModel, Signal, UniformLoad, apply_noise_vec
 from .recovery import (
     BudgetExceeded,
+    DecodeResult,
     DecoderConfig,
     PoolInstance,
     comp,
@@ -109,6 +110,12 @@ class PartDiagnostic:
     budget_hit: bool
     fallback: bool = False
     survivors: tuple[int, ...] = ()  # columns kept by the support reduction
+    # whether the load search behind the best candidate met its tolerance
+    converged: bool = True
+    # positive readings but no column survived the support reduction, so the
+    # part decodes to nothing; noise never zeroes a positive pool, so only
+    # real data (or a misread) gets here
+    no_survivors: bool = False
 
 
 @dataclass(frozen=True)
@@ -196,7 +203,11 @@ def _stage1_plan(cfg: SchemeConfig) -> StagePlan:
 def _prevalence(cfg: SchemeConfig, t: int) -> float:
     if cfg.decoder.prevalence_mode == "known":
         return float(cfg.decoder.prevalence)
-    return estimate_prevalence(t, cfg.q, cfg.s)
+    # With every pool positive the maximum-likelihood estimate is 1, and a
+    # prevalence of 1 gives every support short of all the survivors prior
+    # zero, so the decoders would return nothing.  Counting half a negative
+    # pool keeps the estimate below 1 there and leaves every t < q as it is.
+    return estimate_prevalence(t - 0.5 if t == cfg.q else t, cfg.q, cfg.s)
 
 
 def _stage2_matrix(cfg: SchemeConfig, rows: int, width: int, rng: np.random.Generator):
@@ -277,22 +288,19 @@ def _decode_single_pool(
     decode_matrix = np.vstack([np.ones((1, s)), mat])
     readings = np.concatenate([[z1_l], z2])
     red = comp(PoolInstance(decode_matrix, readings))
-    k_dec = max(1, min(k_hat, red.s_star))
     budget = False
-    try:
-        res = map_list_decode(red, k_dec, cfg.decoder, p, noise, cfg.load_law, rng=part_rng)
-    except BudgetExceeded as err:
-        res = err.result
-        budget = True
+    if red.s_star == 0:
+        res = DecodeResult(estimate=(), best=None, scored_count=0, budget_exceeded=False)
+    else:
+        try:
+            res = map_list_decode(
+                red, min(k_hat, red.s_star), cfg.decoder, p, noise, cfg.load_law, rng=part_rng
+            )
+        except BudgetExceeded as err:
+            res = err.result
+            budget = True
     found = [int(cols[j]) for j in res.estimate]
-    diag = PartDiagnostic(
-        pools=(pool,),
-        k_hats=(k_hat,),
-        stage2_rows=rows,
-        scored_subsets=res.scored_count,
-        budget_hit=budget,
-        survivors=tuple(int(cols[j]) for j in red.survivors),
-    )
+    diag = _diagnostic((pool,), (k_hat,), rows, red, cols, res, budget)
     return found, diag, (cols, mat)
 
 
@@ -335,15 +343,22 @@ def _decode_mixed_pair(
         res = err.result
         budget = True
     found = [int(cols[j]) for j in res.estimate]
-    diag = PartDiagnostic(
+    diag = _diagnostic(pools, k_hats, rows, red, cols, res, budget)
+    return found, diag, (cols, mat)
+
+
+def _diagnostic(pools, k_hats, rows, red, cols, res: DecodeResult, budget: bool) -> PartDiagnostic:
+    """The decode record of one part; cols maps decode columns to samples."""
+    return PartDiagnostic(
         pools=pools,
         k_hats=k_hats,
         stage2_rows=rows,
         scored_subsets=res.scored_count,
         budget_hit=budget,
         survivors=tuple(int(cols[j]) for j in red.survivors),
+        converged=res.best is None or res.best.converged,
+        no_survivors=red.s_star == 0,
     )
-    return found, diag, (cols, mat)
 
 
 def _run_adaptive(

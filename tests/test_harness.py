@@ -227,6 +227,24 @@ def test_trial_records_are_self_consistent():
         assert set(rec["estimate"]) <= set(range(961))
 
 
+def test_trial_record_counts_nonconverged_parts(monkeypatch):
+    from poolscreen import harness
+    from poolscreen.schemes import PartDiagnostic
+
+    def capped(signal, cfg, noise, rng):
+        out = run_scheme(signal, cfg, noise, rng)
+        diag = PartDiagnostic(pools=(0,), k_hats=(1,), stage2_rows=0, scored_subsets=1,
+                              budget_hit=False)
+        parts = (diag, dataclasses.replace(diag, converged=False),
+                 dataclasses.replace(diag, converged=False))
+        return dataclasses.replace(out, diagnostics=parts)
+
+    cfg = _mini_config(schemes=("stap2",), trials=1, k_values=(3,))
+    assert harness._run_trial((cfg, "stap2", 3, 0.9, 0))["nonconverged"] == 0
+    monkeypatch.setattr(harness, "run_scheme", capped)
+    assert harness._run_trial((cfg, "stap2", 3, 0.9, 0))["nonconverged"] == 2
+
+
 def test_throughput_ordering_smoke():
     # tiny-grid version of the ordering the big tables show
     cfg = _mini_config(

@@ -6,6 +6,7 @@ the one-dimensional load fit, and bounded least squares for noiseless
 feasibility.
 """
 
+import itertools
 import math
 from decimal import Decimal, getcontext
 
@@ -30,6 +31,7 @@ from poolscreen.recovery import (
     log_posterior_gradient,
     map_list_decode,
     map_list_decode_mixed,
+    _optimize_loads,
     score_subset,
     sum_measurement_logpdf,
 )
@@ -297,6 +299,140 @@ def test_score_subset_validates_indices():
         score_subset(red, (0, 0), 0.1, NOISE, LAW)
     with pytest.raises(ValueError):
         score_subset(red, (3,), 0.1, NOISE, LAW)
+
+
+# ---------------------------------------------------------------------------
+# load optimizer
+
+
+def _phi_on_grid(a, v, sig2, axes):
+    """The load objective at every point of the grid spanned by axes (one per column)."""
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, a.shape[1])
+    u = np.log(mesh @ a.T)
+    return (u - (v - u) ** 2 / (2.0 * sig2)).sum(axis=1), mesh
+
+
+def _kkt_residual(red, subset, loads):
+    """Largest move of a projected gradient step; zero exactly at a KKT point."""
+    g = log_posterior_gradient(red, subset, loads, NOISE)
+    return float(np.abs(np.clip(loads + g, LAW.lo, LAW.hi) - loads).max())
+
+
+def _optimize_subset(red, subset, seed=0):
+    a = red.sub_matrix[:, list(subset)]
+    v = np.log(red.sub_measurements) - NOISE.mu_eps
+    G, X, conv = _optimize_loads(
+        a[None], v, NOISE.sigma_eps**2, LAW.lo, LAW.hi, OptimizerSettings(),
+        np.random.default_rng(seed),
+    )
+    return float(G[0]), X[0], bool(conv[0]), a, v
+
+
+@pytest.mark.parametrize("z", [[40.0, 55.0, 47.0, 61.0], [1500.0, 1400.0, 1700.0], [0.3, 0.5]])
+def test_single_column_closed_form_matches_grid(z):
+    # the one column pools every row; the last two cases clip at hi and lo
+    m = len(z)
+    red = ReducedInstance(
+        survivors=np.array([0]),
+        active_rows=np.arange(m),
+        sub_matrix=np.ones((m, 1)),
+        sub_measurements=np.array(z),
+        m_star=m,
+        s_star=1,
+    )
+    G, X, conv, a, v = _optimize_subset(red, (0,))
+    grid = np.linspace(LAW.lo, LAW.hi, 999_001)  # spacing 0.001
+    vals, mesh = _phi_on_grid(a, v, NOISE.sigma_eps**2, [grid])
+    best = int(np.argmax(vals))
+    assert conv
+    assert G >= vals[best] - 1e-12
+    assert G == pytest.approx(vals[best], abs=1e-5)
+    assert X[0] == pytest.approx(mesh[best, 0], abs=1e-3)
+
+
+def _shipped_instance(rows, k, seed):
+    """Noisy readings of k random loads on the shipped rows x 31 design."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros(31)
+    sup = np.sort(rng.choice(31, size=k, replace=False))
+    x[sup] = rng.uniform(1.0, 1000.0, size=k)
+    red = comp(_instance(builtin_matrix(rows, 31).entries, x, NOISE, rng))
+    loc = {int(c): i for i, c in enumerate(red.survivors)}
+    return red, tuple(loc[c] for c in sup)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_two_column_optimum_reaches_grid_and_kkt(seed):
+    red, subset = _shipped_instance(6, 2, seed)
+    G, X, conv, a, v = _optimize_subset(red, subset, seed)
+    axis = np.linspace(LAW.lo, LAW.hi, 1999)
+    vals, _ = _phi_on_grid(a, v, NOISE.sigma_eps**2, [axis, axis])
+    assert conv
+    assert G >= vals.max() - 1e-9
+    assert _kkt_residual(red, subset, X) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_three_column_optimum_reaches_grid_and_kkt(seed):
+    red, subset = _shipped_instance(7, 3, 10 + seed)
+    G, X, conv, a, v = _optimize_subset(red, subset, seed)
+    axis = np.linspace(LAW.lo, LAW.hi, 150)
+    sig2 = NOISE.sigma_eps**2
+    grid_max = max(_phi_on_grid(a, v, sig2, [[x0], axis, axis])[0].max() for x0 in axis)
+    assert conv
+    assert G >= grid_max - 1e-9
+    assert _kkt_residual(red, subset, X) <= 1e-6
+
+
+def test_optimizer_kkt_on_a_bound():
+    # column 0 alone explains a reading far above hi, so its load sits at hi
+    a = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    red = ReducedInstance(
+        survivors=np.arange(2),
+        active_rows=np.arange(3),
+        sub_matrix=a,
+        sub_measurements=np.array([5000.0, 5200.0, 200.0]),
+        m_star=3,
+        s_star=2,
+    )
+    G, X, conv, _, _ = _optimize_subset(red, (0, 1))
+    assert conv
+    assert X[0] == LAW.hi
+    assert _kkt_residual(red, (0, 1), X) <= 1e-6
+
+
+def test_optimizer_blocks_do_not_change_results(monkeypatch):
+    from poolscreen import recovery
+
+    red, _ = _shipped_instance(7, 3, 5)
+    covering = [
+        sub for sub in itertools.combinations(range(red.s_star), 3)
+        if red.sub_matrix[:, list(sub)].any(axis=1).all()
+    ]
+    a = np.stack([red.sub_matrix[:, list(sub)] for sub in covering[:5]])
+    v = np.log(red.sub_measurements) - NOISE.mu_eps
+
+    def run():
+        return _optimize_loads(a, v, NOISE.sigma_eps**2, LAW.lo, LAW.hi, OptimizerSettings(),
+                               np.random.default_rng(4))
+
+    whole = run()
+    monkeypatch.setattr(recovery, "_NEWTON_BLOCK", 2)
+    for got, want in zip(run(), whole):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_optimizer_consumes_exactly_the_start_draw(k):
+    red, subset = _shipped_instance(7, k, 3)
+    a = np.repeat(red.sub_matrix[:, list(subset)][None], 4, axis=0)  # N = 4 candidates
+    v = np.log(red.sub_measurements) - NOISE.mu_eps
+    opt = OptimizerSettings()
+    rng = np.random.default_rng(21)
+    _optimize_loads(a, v, NOISE.sigma_eps**2, LAW.lo, LAW.hi, opt, rng)
+    ref = np.random.default_rng(21)
+    ref.uniform(LAW.lo, LAW.hi, size=(4, opt.starts - 1, k))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

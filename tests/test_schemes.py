@@ -1,5 +1,6 @@
 """Tests for the five end-to-end testing protocols and their accounting."""
 
+import dataclasses
 import logging
 import math
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from poolscreen.matrices import BUILTIN_PROFILES
 from poolscreen.model import NoiseModel, Signal, UniformLoad, generate_signal_fixed_k
-from poolscreen.recovery import DecoderConfig
+from poolscreen import schemes
+from poolscreen.recovery import DecoderConfig, OptimizerSettings, estimate_prevalence
 from poolscreen.schemes import (
     PartDiagnostic,
     SchemeConfig,
@@ -408,3 +410,54 @@ def test_run_scheme_dispatch():
         out = run_scheme(signal, _cfg(scheme), NOISE, np.random.default_rng(9))
         assert isinstance(out, TrialOutcome)
         assert out.estimated_support == signal.support
+
+
+# ---------------------------------------------------------------------------
+# edge cases of decoding
+
+
+@pytest.mark.parametrize("scheme", ["stap2", "stamp"])
+def test_every_pool_positive_still_decodes(scheme):
+    # t = q: the maximum-likelihood prevalence would be 1, which leaves every
+    # support short of all the survivors with prior zero
+    values = np.zeros(62)
+    values[[4, 40]] = [300.0, 520.0]
+    cfg = SchemeConfig(scheme=scheme, q=2, s=31, pin_builtin_matrices=True)
+    out = run_scheme(Signal(values), cfg, NOISE, np.random.default_rng(3))
+    assert out.estimated_support == (4, 40)
+
+
+def test_prevalence_bounded_only_when_every_pool_is_positive():
+    cfg = _cfg("stap2")
+    for t in range(cfg.q):
+        assert schemes._prevalence(cfg, t) == estimate_prevalence(t, cfg.q, cfg.s)
+    assert schemes._prevalence(cfg, cfg.q - 1) < schemes._prevalence(cfg, cfg.q) < 1.0
+
+
+def test_no_survivors_decodes_to_nothing():
+    # a positive stage-1 reading whose stage-2 readings are all zero: every
+    # column of the 6 x 31 design sits in some row, so none survives, which
+    # noise alone never does
+    cfg = _cfg("stap2", pin_builtin_matrices=True)
+    meter = schemes._Meter(NOISE, np.random.default_rng(0))
+    found, diag, _ = schemes._decode_single_pool(
+        0, 2, 6, 40.0, np.zeros(961), cfg, 0.01, NOISE, np.random.default_rng(1), meter
+    )
+    assert found == []
+    assert diag.no_survivors and diag.survivors == () and diag.scored_subsets == 0
+    assert diag.converged
+    assert meter.count == 6
+
+
+def test_diagnostic_reports_optimizer_convergence():
+    values = np.zeros(961)
+    values[[0, 1]] = [600.0, 900.0]  # one pool, count estimate 2
+    signal = Signal(values)
+    capped = dataclasses.replace(
+        DecoderConfig(), optimizer=OptimizerSettings(iters=1)
+    )
+    out = run_stap2(signal, _cfg("stap2"), NOISE, np.random.default_rng(2))
+    assert [d.converged for d in out.diagnostics] == [True]
+    assert not out.diagnostics[0].no_survivors
+    out = run_stap2(signal, _cfg("stap2", decoder=capped), NOISE, np.random.default_rng(2))
+    assert [d.converged for d in out.diagnostics] == [False]
