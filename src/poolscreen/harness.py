@@ -55,8 +55,6 @@ class ExperimentConfig:
     k_window: int = 1
     enumeration_cap: int = 200_000
     pin_builtin_matrices: bool = False
-    delta_minus: float | None = None
-    delta_plus: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
@@ -81,10 +79,6 @@ class ExperimentConfig:
             raise ValueError("alpha_values must be non-empty")
         if any(not 0.0 < a <= 1.0 for a in self.alpha_values):
             raise ValueError("alpha values must lie in (0, 1]")
-        for name in ("delta_minus", "delta_plus"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

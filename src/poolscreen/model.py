@@ -156,24 +156,12 @@ class NoiseModel:
         return np.exp(self.logpdf(eps))
 
 
-def apply_noise(y: float, noise: NoiseModel, rng: np.random.Generator) -> float:
-    """Noisy reading for one pooled quantity y >= 0.  Zero stays exactly zero."""
-    if y < 0:
-        raise ValueError("pooled quantity must be non-negative")
-    if y == 0.0:
-        return 0.0
-    z = y * float(noise.sample(rng))
-    if z < MEASUREMENT_FLOOR:
-        logger.warning("reading %.3e underflowed the measurement floor; clamped to 0", z)
-        return 0.0
-    return z
-
-
 def apply_noise_vec(y: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    """Vector version of apply_noise.
+    """Noisy readings for pooled quantities y >= 0; zero stays exactly zero.
 
     Draws exactly len(y) noise factors (one physical measurement per entry,
-    whatever its value), then zeroes the entries where y == 0.
+    whatever its value), then zeroes the entries where y == 0.  A reading
+    below the measurement floor is clamped to 0, with a warning.
     """
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
@@ -216,31 +204,6 @@ class Signal:
     @property
     def k(self) -> int:
         return len(self.support)
-
-
-@dataclass(frozen=True)
-class SignalDistribution:
-    """Independent infection with probability p; positive loads follow `law`."""
-
-    n: int
-    p: float
-    law: LoadLaw = UniformLoad()
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not (0.0 <= self.p <= 1.0):
-            raise ValueError("p must lie in [0, 1]")
-
-
-def generate_signal(dist: SignalDistribution, rng: np.random.Generator) -> Signal:
-    """Draw one signal: Bernoulli(p) support, then iid loads on the support."""
-    mask = rng.random(dist.n) < dist.p
-    values = np.zeros(dist.n)
-    k = int(mask.sum())
-    if k:
-        values[mask] = dist.law.sample(rng, k)
-    return Signal(values)
 
 
 def generate_signal_fixed_k(

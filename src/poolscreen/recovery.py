@@ -4,7 +4,8 @@ The pipeline for one positive pool: COMP screening drops every column that
 appears in a zero reading (zeros are exact under multiplicative noise), a
 posterior over the number of positives picks a window of candidate support
 sizes, and a list decoder scores every candidate support in the window by
-the best explanation its loads can give the readings.
+the best explanation its loads can give the readings.  Two pools mixed into
+one read decode the same way, with one size window per pool.
 """
 
 from __future__ import annotations
@@ -205,8 +206,6 @@ class DecoderConfig:
     k_window: int = 1
     enumeration_cap: int = 200_000
     optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
-    prevalence_mode: str = "estimate"  # or "known"
-    prevalence: float | None = None
     keep_candidates: bool = False
 
     def __post_init__(self):
@@ -216,11 +215,6 @@ class DecoderConfig:
             raise ValueError("k_window must be non-negative")
         if self.enumeration_cap < 1:
             raise ValueError("enumeration_cap must be positive")
-        if self.prevalence_mode not in ("estimate", "known"):
-            raise ValueError("prevalence_mode must be 'estimate' or 'known'")
-        if self.prevalence_mode == "known":
-            if self.prevalence is None or not 0.0 < self.prevalence <= 1.0:
-                raise ValueError("known prevalence_mode needs prevalence in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -580,14 +574,32 @@ def log_posterior_gradient(
 _CHUNK = 4096
 
 
-def _combo_chunks(pool: np.ndarray, k: int, chunk: int = _CHUNK):
-    """Yield (chunk, k) arrays of combinations of `pool` in lexicographic order."""
-    it = itertools.combinations(pool.tolist(), k)
+def _block_chunks(blocks, sizes, chunk: int = _CHUNK):
+    """Yield candidate supports taking sizes[i] columns of blocks[i], as row arrays.
+
+    The supports run through the product of each block's combinations in
+    lexicographic order, the first block varying slowest.  Every later block
+    is listed in full; the first is read lazily, max(1, chunk // R) of its
+    combinations per yield, R being the number of rows the later blocks give.
+    """
+    rest = None
+    for block, k in zip(blocks[1:], sizes[1:]):
+        combos = np.array(list(itertools.combinations(block.tolist(), k)), dtype=np.intp)
+        combos = combos.reshape(combos.shape[0] if k else 1, k)
+        rest = combos if rest is None else _cross(rest, combos)
+    it = itertools.combinations(blocks[0].tolist(), sizes[0])
+    step = max(1, chunk // (1 if rest is None else rest.shape[0]))
     while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
+        head = list(itertools.islice(it, step))
+        if not head:
             return
-        yield np.array(block, dtype=np.intp).reshape(len(block), k)
+        head = np.array(head, dtype=np.intp).reshape(len(head), sizes[0])
+        yield head if rest is None else _cross(head, rest)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every row of a joined with every row of b, a varying slowest."""
+    return np.concatenate([np.repeat(a, b.shape[0], axis=0), np.tile(b, (a.shape[0], 1))], axis=1)
 
 
 class _ListAccumulator:
@@ -679,6 +691,55 @@ class _ListAccumulator:
         )
 
 
+def _list_decode(
+    reduced: ReducedInstance,
+    blocks,
+    k_hats,
+    cfg: DecoderConfig,
+    p: float,
+    noise: NoiseModel,
+    law: LoadLaw,
+    rng: np.random.Generator | None,
+) -> DecodeResult:
+    """List decoding over survivor positions split into blocks, one per pool.
+
+    Each block contributes a size window around its own count estimate
+    (k_hats[i] +- cfg.k_window, within [1, block size]); a block with no
+    survivors contributes size 0, and with no survivors at all the result is
+    empty.  Candidates are every choice of one size per block, and of that
+    many columns from each.
+    """
+    if reduced.m_star < 1:
+        raise ValueError("decoding needs at least one positive reading")
+    windows = []
+    for k_hat, block in zip(k_hats, blocks):
+        size = block.shape[0]
+        if size == 0:
+            windows.append([0])
+            continue
+        if not 1 <= k_hat <= size:
+            raise ValueError(f"k_hat must lie in [1, {size}], got {k_hat}")
+        windows.append(range(max(k_hat - cfg.k_window, 1), min(k_hat + cfg.k_window, size) + 1))
+    if reduced.s_star == 0:
+        return DecodeResult((), None, 0, False, [] if cfg.keep_candidates else None)
+
+    rng = rng if rng is not None else np.random.default_rng(cfg.optimizer.seed)
+    scorer = _Scorer(reduced, p, noise, law, cfg.optimizer)
+    acc = _ListAccumulator(scorer, cfg.enumeration_cap, math.log(cfg.alpha), rng)
+    for sizes in itertools.product(*windows):
+        for chunk in _block_chunks(blocks, sizes):
+            covered = scorer.coverage(chunk)
+            acc.feed(chunk[covered])
+            if acc.exceeded:
+                break
+        if acc.exceeded:
+            break
+    result = acc.result(reduced, cfg.keep_candidates)
+    if result.budget_exceeded:
+        raise BudgetExceeded(result)
+    return result
+
+
 def map_list_decode(
     reduced: ReducedInstance,
     k_hat: int,
@@ -690,31 +751,12 @@ def map_list_decode(
 ) -> DecodeResult:
     """Score candidate supports of size k_hat and its neighbors; return the
     union of every candidate scoring within a factor alpha of the best.
+    With no survivors the result is empty.
 
     Raises BudgetExceeded (carrying the partial result) past the cap.
     """
-    if reduced.m_star < 1:
-        raise ValueError("decoding needs at least one positive reading")
-    if not 1 <= k_hat <= reduced.s_star:
-        raise ValueError(f"k_hat must lie in [1, {reduced.s_star}], got {k_hat}")
-    rng = rng if rng is not None else np.random.default_rng(cfg.optimizer.seed)
-    scorer = _Scorer(reduced, p, noise, law, cfg.optimizer)
-    acc = _ListAccumulator(scorer, cfg.enumeration_cap, math.log(cfg.alpha), rng)
-    lo_k = max(k_hat - cfg.k_window, 1)
-    hi_k = min(k_hat + cfg.k_window, reduced.s_star)
     pool = np.arange(reduced.s_star, dtype=np.intp)
-    for k in range(lo_k, hi_k + 1):
-        for chunk in _combo_chunks(pool, k):
-            covered = scorer.coverage(chunk)
-            acc.feed(chunk[covered])
-            if acc.exceeded:
-                break
-        if acc.exceeded:
-            break
-    result = acc.result(reduced, cfg.keep_candidates)
-    if result.budget_exceeded:
-        raise BudgetExceeded(result)
-    return result
+    return _list_decode(reduced, (pool,), (k_hat,), cfg, p, noise, law, rng)
 
 
 def map_list_decode_mixed(
@@ -731,58 +773,8 @@ def map_list_decode_mixed(
     """List decoding over a two-pool combined instance.
 
     Candidate supports are built per half (columns below half_width belong
-    to the first pool): each half contributes a size window around its own
-    count estimate, and a half with no surviving columns contributes
-    exactly nothing.
+    to the first pool), each half with its own count estimate.
     """
-    if reduced.m_star < 1:
-        raise ValueError("decoding needs at least one positive reading")
-    rng = rng if rng is not None else np.random.default_rng(cfg.optimizer.seed)
-    left_pos = np.flatnonzero(reduced.survivors < half_width).astype(np.intp)
-    right_pos = np.flatnonzero(reduced.survivors >= half_width).astype(np.intp)
-    windows = []
-    for k_hat, pos in ((k_hat_a, left_pos), (k_hat_b, right_pos)):
-        if pos.shape[0] == 0:
-            windows.append([0])
-            continue
-        if not 1 <= k_hat <= pos.shape[0]:
-            raise ValueError(f"a half k_hat must lie in [1, {pos.shape[0]}], got {k_hat}")
-        lo_k = max(k_hat - cfg.k_window, 1)
-        hi_k = min(k_hat + cfg.k_window, pos.shape[0])
-        windows.append(list(range(lo_k, hi_k + 1)))
-    if left_pos.shape[0] == 0 and right_pos.shape[0] == 0:
-        return DecodeResult((), None, 0, False, [] if cfg.keep_candidates else None)
-
-    scorer = _Scorer(reduced, p, noise, law, cfg.optimizer)
-    acc = _ListAccumulator(scorer, cfg.enumeration_cap, math.log(cfg.alpha), rng)
-    for ka in windows[0]:
-        for kb in windows[1]:
-            for chunk in _cross_combo_chunks(left_pos, ka, right_pos, kb):
-                covered = scorer.coverage(chunk)
-                acc.feed(chunk[covered])
-                if acc.exceeded:
-                    break
-            if acc.exceeded:
-                break
-        if acc.exceeded:
-            break
-    result = acc.result(reduced, cfg.keep_candidates)
-    if result.budget_exceeded:
-        raise BudgetExceeded(result)
-    return result
-
-
-def _cross_combo_chunks(left: np.ndarray, ka: int, right: np.ndarray, kb: int,
-                        chunk: int = _CHUNK):
-    """Yield concatenated (ka + kb)-subsets, left block varying slowest."""
-    left_combos = np.array(list(itertools.combinations(left.tolist(), ka)), dtype=np.intp)
-    left_combos = left_combos.reshape(left_combos.shape[0] if ka else 1, ka)
-    right_combos = np.array(list(itertools.combinations(right.tolist(), kb)), dtype=np.intp)
-    right_combos = right_combos.reshape(right_combos.shape[0] if kb else 1, kb)
-    nb = right_combos.shape[0]
-    rows_per_block = max(1, chunk // max(nb, 1))
-    for start in range(0, left_combos.shape[0], rows_per_block):
-        lblock = left_combos[start : start + rows_per_block]
-        la = np.repeat(lblock, nb, axis=0)
-        rb = np.tile(right_combos, (lblock.shape[0], 1))
-        yield np.concatenate([la, rb], axis=1)
+    left = reduced.survivors < half_width
+    blocks = (np.flatnonzero(left), np.flatnonzero(~left))
+    return _list_decode(reduced, blocks, (k_hat_a, k_hat_b), cfg, p, noise, law, rng)

@@ -3,15 +3,17 @@
 Five schemes share a stage-1 layout (q disjoint pools of s samples each):
 individual testing skips pooling entirely, Dorfman retests positive pools
 one sample at a time, and the adaptive schemes spend a small coded second
-stage per positive pool (fixed-size, size-adapted, or pool-mixing).
+stage per part: one positive pool (stap1 with a fixed row count, stap2 with
+one sized by the pool's count estimate), or, in stamp, a pair of sparse pools
+mixed into one read.  Every part, one pool or two, runs through _decode_part.
+Pipetting counts one operation per 1-entry of each executed sensing row.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,7 +21,6 @@ from .matrices import BUILTIN_PROFILES, builtin_matrix, profile_sample
 from .model import LoadLaw, NoiseModel, Signal, UniformLoad, apply_noise_vec
 from .recovery import (
     BudgetExceeded,
-    DecodeResult,
     DecoderConfig,
     PoolInstance,
     comp,
@@ -83,20 +84,15 @@ class SchemeConfig:
         return self.q * self.s
 
     def rows_for_count(self, k_hat: int) -> int:
-        """Stage-2 row count for a singly decoded pool with count estimate k_hat."""
+        """Stage-2 row count for a singly decoded pool with count estimate k_hat
+        (stap1 ignores the estimate)."""
+        if self.scheme == "stap1":
+            return self.stage2_rows_fixed
         top = max(self.stage2_rows_by_khat)
         return self.stage2_rows_by_khat[min(max(k_hat, 1), top)]
 
     def rows_for_pair(self, ka: int, kb: int) -> int | None:
         return self.mixed_rows_by_pair.get((max(ka, kb), min(ka, kb)))
-
-
-@dataclass(frozen=True)
-class StagePlan:
-    """The pooling actually executed in one stage: (columns, matrix) pairs."""
-
-    stage: int
-    pools: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
@@ -131,11 +127,6 @@ class TrialOutcome:
     def __post_init__(self):
         if self.measurements_total != self.measurements_stage1 + self.measurements_stage2:
             raise ValueError("measurement totals disagree")
-
-
-def count_pipetting(plans: list[StagePlan]) -> int:
-    """One pipetting operation per 1-entry of every executed sensing row."""
-    return int(sum(mat.sum() for plan in plans for _, mat in plan.pools))
 
 
 def partition_positive_pools(k_hats, kappa: int):
@@ -192,17 +183,7 @@ def _stage1_readings(signal: Signal, cfg: SchemeConfig, meter: _Meter) -> np.nda
     return meter.read(blocks.sum(axis=1))
 
 
-def _stage1_plan(cfg: SchemeConfig) -> StagePlan:
-    pools = tuple(
-        (np.arange(l * cfg.s, (l + 1) * cfg.s), np.ones((1, cfg.s)))
-        for l in range(cfg.q)
-    )
-    return StagePlan(stage=1, pools=pools)
-
-
 def _prevalence(cfg: SchemeConfig, t: int) -> float:
-    if cfg.decoder.prevalence_mode == "known":
-        return float(cfg.decoder.prevalence)
     # With every pool positive the maximum-likelihood estimate is 1, and a
     # prevalence of 1 gives every support short of all the survivors prior
     # zero, so the decoders would return nothing.  Counting half a negative
@@ -227,14 +208,13 @@ def run_individual(signal: Signal, noise: NoiseModel, rng: np.random.Generator) 
     z = meter.read(np.asarray(signal.values))
     estimate = tuple(int(j) for j in np.flatnonzero(z > 0))
     n = signal.n
-    plan = StagePlan(stage=1, pools=tuple((np.array([j]), np.ones((1, 1))) for j in range(n)))
     assert meter.count == n
     return TrialOutcome(
         estimated_support=estimate,
         measurements_total=n,
         measurements_stage1=n,
         measurements_stage2=0,
-        pipetting_ops=count_pipetting([plan]),
+        pipetting_ops=n,
         budget_flag=False,
     )
 
@@ -249,30 +229,27 @@ def run_dorfman(
     positives = np.flatnonzero(z1 > 0)
     values = np.asarray(signal.values)
     estimate: list[int] = []
-    stage2_pools = []
     for l in positives:
         cols = np.arange(l * cfg.s, (l + 1) * cfg.s)
         z = meter.read(values[cols])
         estimate.extend(int(c) for c in cols[z > 0])
-        stage2_pools.extend((np.array([c]), np.ones((1, 1))) for c in cols)
     t = positives.shape[0]
-    plans = [_stage1_plan(cfg), StagePlan(stage=2, pools=tuple(stage2_pools))]
     assert meter.count == cfg.q + t * cfg.s
     return TrialOutcome(
         estimated_support=tuple(sorted(estimate)),
         measurements_total=cfg.q + t * cfg.s,
         measurements_stage1=cfg.q,
         measurements_stage2=t * cfg.s,
-        pipetting_ops=count_pipetting(plans),
+        pipetting_ops=cfg.n + t * cfg.s,
         budget_flag=False,
     )
 
 
-def _decode_single_pool(
-    pool: int,
-    k_hat: int,
+def _decode_part(
+    pools: tuple[int, ...],
+    k_hats: tuple[int, ...],
     rows: int,
-    z1_l: float,
+    z1: np.ndarray,
     signal_values: np.ndarray,
     cfg: SchemeConfig,
     p: float,
@@ -280,76 +257,37 @@ def _decode_single_pool(
     part_rng: np.random.Generator,
     meter: _Meter,
 ):
-    """Run one pool's coded stage 2 and decode it; returns (columns, diag, pools)."""
-    s = cfg.s
-    cols = np.arange(pool * s, (pool + 1) * s)
-    mat = _stage2_matrix(cfg, rows, s, part_rng)
-    z2 = meter.read(mat @ signal_values[cols])
-    decode_matrix = np.vstack([np.ones((1, s)), mat])
-    readings = np.concatenate([[z1_l], z2])
-    red = comp(PoolInstance(decode_matrix, readings))
-    budget = False
-    if red.s_star == 0:
-        res = DecodeResult(estimate=(), best=None, scored_count=0, budget_exceeded=False)
-    else:
-        try:
-            res = map_list_decode(
-                red, min(k_hat, red.s_star), cfg.decoder, p, noise, cfg.load_law, rng=part_rng
-            )
-        except BudgetExceeded as err:
-            res = err.result
-            budget = True
-    found = [int(cols[j]) for j in res.estimate]
-    diag = _diagnostic((pool,), (k_hat,), rows, red, cols, res, budget)
-    return found, diag, (cols, mat)
+    """Run one part's coded stage 2 and decode it; one pool, or two mixed.
 
-
-def _decode_mixed_pair(
-    pools: tuple[int, int],
-    k_hats: tuple[int, int],
-    rows: int,
-    z1_pair: tuple[float, float],
-    signal_values: np.ndarray,
-    cfg: SchemeConfig,
-    p: float,
-    noise: NoiseModel,
-    part_rng: np.random.Generator,
-    meter: _Meter,
-):
-    """Mix two pools into one width-2s coded read and decode them jointly."""
+    The pools' columns are read together through one rows x (|pools| * s)
+    matrix, and decoded with their stage-1 readings z1 as one instance whose
+    column blocks are the pools.  Returns (columns found, diagnostic, the
+    1-entries of the executed matrix).
+    """
     s = cfg.s
-    la, lb = pools
-    cols = np.concatenate(
-        [np.arange(la * s, (la + 1) * s), np.arange(lb * s, (lb + 1) * s)]
-    )
-    mat = _stage2_matrix(cfg, rows, 2 * s, part_rng)
+    cols = np.concatenate([np.arange(l * s, (l + 1) * s) for l in pools])
+    mat = _stage2_matrix(cfg, rows, cols.shape[0], part_rng)
     z2 = meter.read(mat @ signal_values[cols])
-    head = np.zeros((2, 2 * s))
-    head[0, :s] = 1.0
-    head[1, s:] = 1.0
-    decode_matrix = np.vstack([head, mat])
-    readings = np.concatenate([list(z1_pair), z2])
-    red = comp(PoolInstance(decode_matrix, readings))
-    left = int(np.sum(red.survivors < s))
-    right = red.s_star - left
-    ka = max(1, min(k_hats[0], left)) if left else k_hats[0]
-    kb = max(1, min(k_hats[1], right)) if right else k_hats[1]
+    decode_matrix = np.vstack([np.kron(np.eye(len(pools)), np.ones((1, s))), mat])
+    red = comp(PoolInstance(decode_matrix, np.concatenate([z1, z2])))
+    # each count estimate clamped to its pool's survivors; a pool without
+    # any keeps its own, which the decoder does not read
+    counts = np.bincount(red.survivors // s, minlength=len(pools))
+    ks = [max(1, min(k, int(c))) if c else k for k, c in zip(k_hats, counts)]
     budget = False
     try:
-        res = map_list_decode_mixed(
-            red, ka, kb, cfg.decoder, p, noise, cfg.load_law, half_width=s, rng=part_rng
-        )
+        # the two entry points stay distinct so that a traced run can tell
+        # single-pool decodes from mixed ones
+        if len(pools) == 1:
+            res = map_list_decode(red, *ks, cfg.decoder, p, noise, cfg.load_law, rng=part_rng)
+        else:
+            res = map_list_decode_mixed(
+                red, *ks, cfg.decoder, p, noise, cfg.load_law, half_width=s, rng=part_rng
+            )
     except BudgetExceeded as err:
         res = err.result
         budget = True
-    found = [int(cols[j]) for j in res.estimate]
-    diag = _diagnostic(pools, k_hats, rows, red, cols, res, budget)
-    return found, diag, (cols, mat)
-
-
-def _diagnostic(pools, k_hats, rows, red, cols, res: DecodeResult, budget: bool) -> PartDiagnostic:
-    """The decode record of one part; cols maps decode columns to samples."""
-    return PartDiagnostic(
+    diag = PartDiagnostic(
         pools=pools,
         k_hats=k_hats,
         stage2_rows=rows,
@@ -359,11 +297,20 @@ def _diagnostic(pools, k_hats, rows, red, cols, res: DecodeResult, budget: bool)
         converged=res.best is None or res.best.converged,
         no_survivors=red.s_star == 0,
     )
+    return [int(cols[j]) for j in res.estimate], diag, int(mat.sum())
 
 
 def _run_adaptive(
-    signal: Signal, cfg: SchemeConfig, noise: NoiseModel, rng: np.random.Generator, mixing: bool
+    signal: Signal, cfg: SchemeConfig, noise: NoiseModel, rng: np.random.Generator
 ) -> TrialOutcome:
+    """Stage 1, count estimates, then one coded stage 2 per part.
+
+    stap1 and stap2 make each positive pool a part; stamp partitions them
+    (partition_positive_pools) into heavy solo pools and pairs of sparse
+    ones.  Each part draws one generator and runs as one or more jobs
+    (pools, stage-2 rows, fallback), each through _decode_part: a pair whose
+    counts have no mixed row count runs as two single-pool fallback jobs.
+    """
     _check_signal(signal, cfg)
     meter = _Meter(noise, rng)
     z1 = _stage1_readings(signal, cfg, meter)
@@ -377,7 +324,7 @@ def _run_adaptive(
             measurements_total=cfg.q,
             measurements_stage1=cfg.q,
             measurements_stage2=0,
-            pipetting_ops=count_pipetting([_stage1_plan(cfg)]),
+            pipetting_ops=cfg.n,
             budget_flag=False,
         )
     p = _prevalence(cfg, t)
@@ -386,103 +333,57 @@ def _run_adaptive(
         for l in positives
     }
 
-    if mixing:
+    if cfg.scheme == "stamp":
         # heaviest pools first; ties keep the earlier pool first
         order = sorted(positives.tolist(), key=lambda l: (-k_hats[l], l))
         parts, _, _ = partition_positive_pools([k_hats[l] for l in order], cfg.kappa)
+        parts = [tuple(order[i] for i in part) for part in parts]
     else:
-        order = positives.tolist()
-        parts = [(i,) for i in range(t)]
+        parts = [(l,) for l in positives.tolist()]
 
     estimate: list[int] = []
     diagnostics: list[PartDiagnostic] = []
-    stage2_pools = []
-    budget_flag = False
+    pipetting = cfg.n
     for part in parts:
         part_rng = np.random.default_rng(rng.integers(0, 2**63))
-        if len(part) == 1:
-            pool = order[part[0]]
-            k_hat = k_hats[pool]
-            rows = cfg.stage2_rows_fixed if cfg.scheme == "stap1" else cfg.rows_for_count(k_hat)
-            found, diag, executed = _decode_single_pool(
-                pool, k_hat, rows, float(z1[pool]), values, cfg, p, noise, part_rng, meter
-            )
-            estimate.extend(found)
-            diagnostics.append(diag)
-            stage2_pools.append(executed)
-            budget_flag |= diag.budget_hit
-            continue
-        la, lb = order[part[0]], order[part[1]]
-        ka, kb = k_hats[la], k_hats[lb]
-        rows = cfg.rows_for_pair(ka, kb)
-        if rows is None:
+        ks = [k_hats[l] for l in part]
+        rows = cfg.rows_for_count(*ks) if len(part) == 1 else cfg.rows_for_pair(*ks)
+        if rows is not None:
+            jobs = [(part, rows, False)]
+        else:
             logger.warning(
                 "no mixed row count for pair (%d, %d); decoding pools %d and %d separately",
-                ka, kb, la, lb,
+                *ks, *part,
             )
-            for pool, k_hat in ((la, ka), (lb, kb)):
-                found, diag, executed = _decode_single_pool(
-                    pool, k_hat, cfg.rows_for_count(k_hat), float(z1[pool]), values,
-                    cfg, p, noise, part_rng, meter,
-                )
-                estimate.extend(found)
-                diagnostics.append(dataclasses.replace(diag, fallback=True))
-                stage2_pools.append(executed)
-                budget_flag |= diag.budget_hit
-            continue
-        found, diag, executed = _decode_mixed_pair(
-            (la, lb), (ka, kb), rows, (float(z1[la]), float(z1[lb])), values,
-            cfg, p, noise, part_rng, meter,
-        )
-        estimate.extend(found)
-        diagnostics.append(diag)
-        stage2_pools.append(executed)
-        budget_flag |= diag.budget_hit
+            jobs = [((l,), cfg.rows_for_count(k_hats[l]), True) for l in part]
+        for pools, rows, fallback in jobs:
+            found, diag, ones = _decode_part(
+                pools, tuple(k_hats[l] for l in pools), rows, z1[list(pools)], values,
+                cfg, p, noise, part_rng, meter,
+            )
+            estimate.extend(found)
+            diagnostics.append(replace(diag, fallback=fallback))
+            pipetting += ones
 
     m2 = sum(d.stage2_rows for d in diagnostics)
-    plans = [_stage1_plan(cfg), StagePlan(stage=2, pools=tuple(stage2_pools))]
     assert meter.count == cfg.q + m2
     return TrialOutcome(
         estimated_support=tuple(sorted(estimate)),
         measurements_total=cfg.q + m2,
         measurements_stage1=cfg.q,
         measurements_stage2=m2,
-        pipetting_ops=count_pipetting(plans),
-        budget_flag=budget_flag,
+        pipetting_ops=pipetting,
+        budget_flag=any(d.budget_hit for d in diagnostics),
         diagnostics=tuple(diagnostics),
     )
-
-
-def run_stap1(
-    signal: Signal, cfg: SchemeConfig, noise: NoiseModel, rng: np.random.Generator
-) -> TrialOutcome:
-    """Two-stage scheme with a fixed-size coded second stage per positive pool."""
-    return _run_adaptive(signal, cfg, noise, rng, mixing=False)
-
-
-def run_stap2(
-    signal: Signal, cfg: SchemeConfig, noise: NoiseModel, rng: np.random.Generator
-) -> TrialOutcome:
-    """Like run_stap1 but the stage-2 size adapts to each pool's count estimate."""
-    return _run_adaptive(signal, cfg, noise, rng, mixing=False)
-
-
-def run_stamp(
-    signal: Signal, cfg: SchemeConfig, noise: NoiseModel, rng: np.random.Generator
-) -> TrialOutcome:
-    """Size-adaptive scheme that additionally mixes sparse pool pairs."""
-    return _run_adaptive(signal, cfg, noise, rng, mixing=True)
 
 
 def run_scheme(
     signal: Signal, cfg: SchemeConfig, noise: NoiseModel, rng: np.random.Generator
 ) -> TrialOutcome:
+    """Run one trial of cfg.scheme on signal."""
     if cfg.scheme == "individual":
         return run_individual(signal, noise, rng)
     if cfg.scheme == "dorfman":
         return run_dorfman(signal, cfg, noise, rng)
-    if cfg.scheme == "stap1":
-        return run_stap1(signal, cfg, noise, rng)
-    if cfg.scheme == "stap2":
-        return run_stap2(signal, cfg, noise, rng)
-    return run_stamp(signal, cfg, noise, rng)
+    return _run_adaptive(signal, cfg, noise, rng)

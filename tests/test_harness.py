@@ -55,8 +55,6 @@ def test_config_validation():
         _mini_config(schemes=("stamp", "stamp"))
     with pytest.raises(ValueError, match="alpha"):
         _mini_config(alpha_values=(1.2,))
-    with pytest.raises(ValueError, match="delta_minus"):
-        _mini_config(delta_minus=2.0)
 
 
 def test_config_dict_round_trip():
@@ -68,6 +66,8 @@ def test_config_dict_round_trip():
 def test_config_rejects_unknown_and_missing_keys():
     with pytest.raises(ValueError, match="unknown config keys: colour"):
         ExperimentConfig.from_dict({**_mini_config().to_dict(), "colour": 7})
+    with pytest.raises(ValueError, match="unknown config keys: delta_minus"):
+        ExperimentConfig.from_dict({**_mini_config().to_dict(), "delta_minus": 0.1})
     with pytest.raises(ValueError, match="missing config keys"):
         ExperimentConfig.from_dict({"n": 961})
 

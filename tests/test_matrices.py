@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +45,22 @@ def test_builtin_matrix_matches_profile_and_total(key):
     assert mat.total_ones == EXPECTED_ONES[key]
     ok, report = verify_profile(mat, BUILTIN_PROFILES[key])
     assert ok, report
+
+
+def test_shipped_designs_regenerate_byte_identical(tmp_path):
+    # the shipped designs are reproducible from a clean checkout: the build
+    # script writes every file exactly as shipped
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, str(root / "scripts" / "make_builtin_matrices.py"), "--out", str(tmp_path)],
+        check=True, env=env, capture_output=True,
+    )
+    shipped = sorted(p.name for p in (root / "src" / "poolscreen" / "data").glob("*.txt"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == shipped
+    for name in shipped:
+        assert (tmp_path / name).read_bytes() == (root / "src" / "poolscreen" / "data" / name).read_bytes()
 
 
 def test_builtin_matrix_unknown_size():

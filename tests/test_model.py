@@ -11,12 +11,9 @@ from poolscreen.model import (
     PointLoad,
     QpcrParams,
     Signal,
-    SignalDistribution,
     UniformLoad,
-    apply_noise,
     apply_noise_vec,
     cycle_to_measurement,
-    generate_signal,
     generate_signal_fixed_k,
     measurement_to_cycle,
     _irwin_hall_pdf,
@@ -24,31 +21,6 @@ from poolscreen.model import (
 
 
 # ---------------------------------------------------------------- signals
-
-
-def test_generate_signal_p0_all_zero():
-    dist = SignalDistribution(n=50, p=0.0)
-    sig = generate_signal(dist, np.random.default_rng(0))
-    assert sig.support == ()
-    assert np.all(sig.values == 0.0)
-
-
-def test_generate_signal_p1_point_mass():
-    dist = SignalDistribution(n=40, p=1.0, law=PointLoad(7.0))
-    sig = generate_signal(dist, np.random.default_rng(1))
-    assert sig.support == tuple(range(40))
-    assert np.all(sig.values == 7.0)
-
-
-def test_generate_signal_mean_support_matches_binomial():
-    # oracle: |support| ~ Binomial(961, 0.01), mean 9.61, sd 3.0845;
-    # the sample mean over 10k draws sits within 3 sd / sqrt(10k) of 9.61
-    n, p, draws = 961, 0.01, 10_000
-    rng = np.random.default_rng(20260822)
-    dist = SignalDistribution(n=n, p=p)
-    sizes = [generate_signal(dist, rng).k for _ in range(draws)]
-    sd = math.sqrt(n * p * (1 - p))
-    assert abs(np.mean(sizes) - n * p) < 3 * sd / math.sqrt(draws)
 
 
 def test_generate_signal_fixed_k_support_and_box():
@@ -59,24 +31,9 @@ def test_generate_signal_fixed_k_support_and_box():
     assert np.all((vals >= 1.0) & (vals <= 1000.0))
 
 
-def test_generate_signal_deterministic_under_seed():
-    dist = SignalDistribution(n=100, p=0.05)
-    a = generate_signal(dist, np.random.default_rng(42))
-    b = generate_signal(dist, np.random.default_rng(42))
-    assert a.support == b.support
-    assert np.array_equal(a.values, b.values)
-
-
 def test_signal_rejects_mismatched_support():
     with pytest.raises(ValueError):
         Signal(np.array([0.0, 2.0]), support=(0,))
-
-
-def test_signal_distribution_validation():
-    with pytest.raises(ValueError):
-        SignalDistribution(n=0, p=0.5)
-    with pytest.raises(ValueError):
-        SignalDistribution(n=10, p=1.5)
 
 
 # ---------------------------------------------------------------- noise
@@ -88,21 +45,21 @@ def test_signal_distribution_validation():
 )
 @settings(max_examples=200, deadline=None)
 def test_apply_noise_preserves_zero_exactly(y, seed):
-    z = apply_noise(y, NoiseModel(), np.random.default_rng(seed))
+    [z] = apply_noise_vec(np.array([y]), NoiseModel(), np.random.default_rng(seed))
     assert (z == 0.0) == (y == 0.0)
     assert z >= 0.0
 
 
 def test_apply_noise_noiseless_limit():
-    z = apply_noise(5.0, NoiseModel(sigma_eps=1e-12), np.random.default_rng(7))
+    [z] = apply_noise_vec(np.array([5.0]), NoiseModel(sigma_eps=1e-12), np.random.default_rng(7))
     assert abs(z - 5.0) < 1e-9
 
 
 def test_apply_noise_scale_equivariance_same_seed():
     # identical noise draw, so readings scale exactly with the input
     noise = NoiseModel()
-    z1 = apply_noise(1.0, noise, np.random.default_rng(11))
-    z100 = apply_noise(100.0, noise, np.random.default_rng(11))
+    [z1] = apply_noise_vec(np.array([1.0]), noise, np.random.default_rng(11))
+    [z100] = apply_noise_vec(np.array([100.0]), noise, np.random.default_rng(11))
     assert z100 == pytest.approx(100.0 * z1, rel=1e-15)
 
 
@@ -130,7 +87,7 @@ def test_apply_noise_vec_one_draw_per_entry():
 
 def test_apply_noise_rejects_negative():
     with pytest.raises(ValueError):
-        apply_noise(-1.0, NoiseModel(), np.random.default_rng(0))
+        apply_noise_vec(np.array([-1.0]), NoiseModel(), np.random.default_rng(0))
 
 
 def test_noise_model_validation():

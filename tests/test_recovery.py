@@ -724,12 +724,6 @@ def test_decoder_config_validation():
         DecoderConfig(alpha=1.5)
     with pytest.raises(ValueError):
         DecoderConfig(enumeration_cap=0)
-    with pytest.raises(ValueError):
-        DecoderConfig(prevalence_mode="guess")
-    with pytest.raises(ValueError):
-        DecoderConfig(prevalence_mode="known")
-    cfg = DecoderConfig(prevalence_mode="known", prevalence=0.02)
-    assert cfg.prevalence == 0.02
 
 
 def test_optimizer_settings_validation():

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poolscreen.matrices import BUILTIN_PROFILES
+from poolscreen.harness import _comp_violations
+from poolscreen.matrices import BUILTIN_PROFILES, builtin_matrix
 from poolscreen.model import NoiseModel, Signal, UniformLoad, generate_signal_fixed_k
 from poolscreen import schemes
 from poolscreen.recovery import DecoderConfig, OptimizerSettings, estimate_prevalence
@@ -17,14 +18,10 @@ from poolscreen.schemes import (
     PartDiagnostic,
     SchemeConfig,
     TrialOutcome,
-    count_pipetting,
     partition_positive_pools,
     run_dorfman,
     run_individual,
     run_scheme,
-    run_stamp,
-    run_stap1,
-    run_stap2,
 )
 
 NOISE = NoiseModel()
@@ -250,7 +247,7 @@ def test_stap1_budget_arithmetic():
     cfg = _cfg("stap1")
     rng = np.random.default_rng(3)
     signal = generate_signal_fixed_k(961, 4, LAW, rng)
-    out = run_stap1(signal, cfg, NOISE, rng)
+    out = run_scheme(signal, cfg, NOISE, rng)
     t = len(_positive_pools(signal, cfg.q, cfg.s))
     assert t >= 1
     assert out.measurements_total == cfg.q + 6 * t
@@ -263,7 +260,7 @@ def test_stap2_rows_follow_count_estimates():
     cfg = _cfg("stap2")
     rng = np.random.default_rng(11)
     signal = generate_signal_fixed_k(961, 6, LAW, rng)
-    out = run_stap2(signal, cfg, NOISE, rng)
+    out = run_scheme(signal, cfg, NOISE, rng)
     assert out.diagnostics
     for diag in out.diagnostics:
         assert diag.stage2_rows == cfg.rows_for_count(diag.k_hats[0])
@@ -286,7 +283,7 @@ def test_adaptive_recovery_smoke():
     for seed in (1, 2, 3):
         rng = np.random.default_rng(seed)
         signal = generate_signal_fixed_k(961, 2, LAW, rng)
-        out = run_stap2(signal, cfg, NOISE, rng)
+        out = run_scheme(signal, cfg, NOISE, rng)
         hits += out.estimated_support == signal.support
     assert hits >= 2  # list decoding tolerates an occasional extra candidate
 
@@ -295,7 +292,7 @@ def test_stamp_partition_structure():
     cfg = _cfg("stamp")
     rng = np.random.default_rng(17)
     signal = generate_signal_fixed_k(961, 10, LAW, rng)
-    out = run_stamp(signal, cfg, NOISE, rng)
+    out = run_scheme(signal, cfg, NOISE, rng)
     seen = [l for d in out.diagnostics for l in d.pools]
     assert sorted(seen) == sorted(_positive_pools(signal, cfg.q, cfg.s))
     # pairs carry only sparse pools; solo parts are heavy or the odd leftover
@@ -325,7 +322,7 @@ def _two_pool_signal():
 
 def test_stamp_pairs_sparse_pools():
     cfg = _cfg("stamp")
-    out = run_stamp(_two_pool_signal(), cfg, NOISE, np.random.default_rng(2))
+    out = run_scheme(_two_pool_signal(), cfg, NOISE, np.random.default_rng(2))
     assert len(out.diagnostics) == 1
     diag = out.diagnostics[0]
     assert diag.pools == (0, 5)  # descending count estimates
@@ -340,7 +337,7 @@ def test_stamp_pairs_sparse_pools():
 def test_stamp_unconfigured_pair_falls_back(caplog):
     cfg = _cfg("stamp", mixed_rows_by_pair={(1, 1): 9})
     with caplog.at_level(logging.WARNING, logger="poolscreen.schemes"):
-        out = run_stamp(_two_pool_signal(), cfg, NOISE, np.random.default_rng(2))
+        out = run_scheme(_two_pool_signal(), cfg, NOISE, np.random.default_rng(2))
     assert any("decoding pools" in rec.message for rec in caplog.records)
     assert len(out.diagnostics) == 2
     assert all(d.fallback for d in out.diagnostics)
@@ -355,7 +352,7 @@ def test_stamp_unconfigured_pair_falls_back(caplog):
 def test_stamp_single_pool_uses_solo_table():
     values = np.zeros(961)
     values[40] = 700.0
-    out = run_stamp(Signal(values), _cfg("stamp"), NOISE, np.random.default_rng(4))
+    out = run_scheme(Signal(values), _cfg("stamp"), NOISE, np.random.default_rng(4))
     assert len(out.diagnostics) == 1
     assert out.diagnostics[0].pools == (1,)
     assert out.measurements_stage2 == 5
@@ -374,8 +371,8 @@ def test_pinned_matrices_reproduce_exactly():
     cfg = _cfg("stap2", pin_builtin_matrices=True)
     rng1 = np.random.default_rng(8)
     signal = generate_signal_fixed_k(961, 3, LAW, rng1)
-    out1 = run_stap2(signal, cfg, NOISE, np.random.default_rng(55))
-    out2 = run_stap2(signal, cfg, NOISE, np.random.default_rng(55))
+    out1 = run_scheme(signal, cfg, NOISE, np.random.default_rng(55))
+    out2 = run_scheme(signal, cfg, NOISE, np.random.default_rng(55))
     assert out1 == out2
 
 
@@ -391,17 +388,40 @@ def test_trial_outcome_checks_totals():
         )
 
 
-def test_count_pipetting_sums_executed_rows():
-    from poolscreen.schemes import StagePlan
-
-    plan = StagePlan(
-        stage=2,
-        pools=(
-            (np.arange(3), np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])),
-            (np.arange(2), np.ones((1, 2))),
-        ),
+@settings(max_examples=60, deadline=None)
+@given(
+    scheme=st.sampled_from(["stap1", "stap2", "stamp"]),
+    q=st.integers(min_value=1, max_value=4),
+    k=st.integers(min_value=0, max_value=6),
+    kappa=st.integers(min_value=1, max_value=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_whole_trial_invariants(scheme, q, k, kappa, seed):
+    # small q makes every pool positive often; kappa 3 lets stamp pair a
+    # count of 3, which has no mixed row count and falls back
+    cfg = SchemeConfig(scheme=scheme, q=q, s=31, kappa=kappa, pin_builtin_matrices=True)
+    rng = np.random.default_rng(seed)
+    signal = generate_signal_fixed_k(cfg.n, min(k, cfg.n), LAW, rng)
+    out = run_scheme(signal, cfg, NOISE, rng)
+    assert _comp_violations(signal, out, cfg.s) == 0
+    kept = {c for d in out.diagnostics for c in d.survivors}
+    assert set(out.estimated_support) <= kept
+    rows = [d.stage2_rows for d in out.diagnostics]
+    assert out.measurements_total == cfg.q + sum(rows)
+    ones = sum(
+        builtin_matrix(d.stage2_rows, cfg.s * len(d.pools)).total_ones for d in out.diagnostics
     )
-    assert count_pipetting([plan]) == 5
+    assert out.pipetting_ops == cfg.n + ones
+
+
+def test_stamp_mixed_budget_hit():
+    capped = DecoderConfig(enumeration_cap=1)
+    cfg = _cfg("stamp", decoder=capped)
+    out = run_scheme(_two_pool_signal(), cfg, NOISE, np.random.default_rng(2))
+    [diag] = out.diagnostics
+    assert diag.pools == (0, 5) and not diag.fallback
+    assert diag.budget_hit and diag.scored_subsets == 1
+    assert out.budget_flag
 
 
 def test_run_scheme_dispatch():
@@ -440,8 +460,9 @@ def test_no_survivors_decodes_to_nothing():
     # noise alone never does
     cfg = _cfg("stap2", pin_builtin_matrices=True)
     meter = schemes._Meter(NOISE, np.random.default_rng(0))
-    found, diag, _ = schemes._decode_single_pool(
-        0, 2, 6, 40.0, np.zeros(961), cfg, 0.01, NOISE, np.random.default_rng(1), meter
+    found, diag, _ = schemes._decode_part(
+        (0,), (2,), 6, np.array([40.0]), np.zeros(961), cfg, 0.01, NOISE,
+        np.random.default_rng(1), meter,
     )
     assert found == []
     assert diag.no_survivors and diag.survivors == () and diag.scored_subsets == 0
@@ -456,8 +477,8 @@ def test_diagnostic_reports_optimizer_convergence():
     capped = dataclasses.replace(
         DecoderConfig(), optimizer=OptimizerSettings(iters=1)
     )
-    out = run_stap2(signal, _cfg("stap2"), NOISE, np.random.default_rng(2))
+    out = run_scheme(signal, _cfg("stap2"), NOISE, np.random.default_rng(2))
     assert [d.converged for d in out.diagnostics] == [True]
     assert not out.diagnostics[0].no_survivors
-    out = run_stap2(signal, _cfg("stap2", decoder=capped), NOISE, np.random.default_rng(2))
+    out = run_scheme(signal, _cfg("stap2", decoder=capped), NOISE, np.random.default_rng(2))
     assert [d.converged for d in out.diagnostics] == [False]
