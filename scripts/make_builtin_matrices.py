@@ -14,6 +14,7 @@ import numpy as np
 from poolscreen.matrices import (
     BUILTIN_BUILD_SEED,
     BUILTIN_PROFILES,
+    MatrixConstructionError,
     profile_sample,
     save_matrix,
     verify_profile,
@@ -34,7 +35,8 @@ def main() -> None:
         rng = np.random.default_rng([args.seed, i])
         mat = profile_sample(profile, m, n, rng)
         ok, report = verify_profile(mat, profile)
-        assert ok, report
+        if not ok:
+            raise MatrixConstructionError(f"sampled {m}x{n} design is invalid: {report}")
         path = args.out / f"design_{m}x{n}.txt"
         save_matrix(mat, path)
         print(f"wrote {path} ({mat.total_ones} ones)")

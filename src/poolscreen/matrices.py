@@ -168,30 +168,35 @@ def builtin_matrix(stage2_rows: int, pool_width: int) -> SensingMatrix:
 # profile sampling
 
 
-def _gale_ryser_feasible(caps: np.ndarray, rest_counts: dict[int, int]) -> bool:
-    # bipartite degree sequences (caps; remaining column weights) admit a 0/1
-    # matrix iff the sums agree and every prefix of the sorted caps is
-    # dominated: sum_{i<=j} r_i <= sum_c min(w_c, j)
-    total = sum(w * cnt for w, cnt in rest_counts.items())
-    if caps.sum() != total:
+def _gale_ryser_feasible(caps, rest_counts: dict[int, int]) -> bool:
+    # bipartite degree sequences (caps >= 0; remaining column weights) admit a
+    # 0/1 matrix iff the sums agree and every prefix of the sorted caps is
+    # dominated: sum_{i<=j} r_i <= sum_c min(w_c, j).  From j = max w_c on the
+    # right side is the total, which no prefix of non-negative caps exceeds.
+    live = [(w, cnt) for w, cnt in rest_counts.items() if cnt]
+    if sum(caps) != sum(w * cnt for w, cnt in live):
         return False
-    r = np.sort(caps)[::-1]
-    prefix = np.cumsum(r)
-    js = np.arange(1, len(r) + 1)
-    rhs = np.zeros(len(r), dtype=np.int64)
-    for w, cnt in rest_counts.items():
-        if cnt:
-            rhs += cnt * np.minimum(w, js)
-    return bool(np.all(prefix <= rhs))
+    r = sorted(caps, reverse=True)
+    prefix = 0
+    for j in range(1, min(len(r), max((w for w, _ in live), default=0)) + 1):
+        prefix += r[j - 1]
+        if prefix > sum(cnt * min(w, j) for w, cnt in live):
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
 def _row_patterns(m: int, w: int):
-    """All w-subsets of m rows, as an index array plus bitmasks."""
+    """All w-subsets of m rows: as tuples, as an index array, and as bitmasks."""
     combos = list(itertools.combinations(range(m), w))
     idx = np.array(combos, dtype=np.intp).reshape(len(combos), w)
     masks = np.array([sum(1 << i for i in combo) for combo in combos], dtype=np.int64)
-    return idx, masks
+    return combos, idx, masks
+
+
+def _has_duplicate_rows(entries: np.ndarray) -> bool:
+    """True when two rows of a 2-D array are equal (pass .T for columns)."""
+    return len({row.tobytes() for row in entries}) != entries.shape[0]
 
 
 def profile_sample(
@@ -208,6 +213,11 @@ def profile_sample(
     capacities among patterns not yet used.  A Gale-Ryser check prunes
     placements that strand the residual degree sequence; dead ends restart
     the whole attempt.
+
+    Each pattern is drawn exactly as ``rng.choice(len(weights), p=weights /
+    weights.sum())`` would draw it: one ``rng.random()`` located in the
+    normalized cumulative sum.  The generator's stream, and so every matrix
+    a seed gives, is that of the ``Generator.choice`` formulation.
     """
     profile.validate()
     if profile.m != m or profile.n != n:
@@ -225,8 +235,9 @@ def profile_sample(
     last_reason = "no attempt ran"
     for _ in range(max_attempts):
         col_assigned = rng.permutation(col_weight_list)
-        caps = rng.permutation(row_weight_list).astype(np.int64)
-        fill_order = np.argsort(-col_assigned, kind="stable")
+        caps = rng.permutation(row_weight_list).tolist()
+        fill_order = np.argsort(-col_assigned, kind="stable").tolist()
+        col_assigned = col_assigned.tolist()
         entries = np.zeros((m, n), dtype=np.uint8)
         used = None
         if profile.distinct_cols:
@@ -235,16 +246,16 @@ def profile_sample(
         ok = True
         rest_counts = {w: cnt for w, cnt in profile.col_weights.items() if w > 0}
         for c in fill_order:
-            w = int(col_assigned[c])
+            w = col_assigned[c]
             if w > 0:
                 rest_counts[w] -= 1
-            if not _place_column(entries, caps, used, int(c), w, rest_counts, rng):
+            if not _place_column(entries, caps, used, c, w, rest_counts, rng):
                 last_reason = f"dead end placing a weight-{w} column"
                 ok = False
                 break
         if not ok:
             continue
-        if profile.distinct_rows and np.unique(entries, axis=0).shape[0] != m:
+        if profile.distinct_rows and _has_duplicate_rows(entries):
             last_reason = "duplicate rows"
             continue
         mat = SensingMatrix(entries)
@@ -258,8 +269,11 @@ def profile_sample(
 
 
 def _place_column(entries, caps, used, c, w, rest_counts, rng) -> bool:
-    """Choose rows for column c; `rest_counts` holds the weights still to place."""
-    m = caps.shape[0]
+    """Choose rows for column c; `rest_counts` holds the weights still to place.
+
+    `caps` is the list of remaining row capacities, updated in place.
+    """
+    m = len(caps)
     flags = isinstance(used, np.ndarray)
     if w == 0:
         if used is not None:
@@ -271,19 +285,26 @@ def _place_column(entries, caps, used, c, w, rest_counts, rng) -> bool:
             else:
                 used.add(0)
         return True
-    idx, masks = _row_patterns(m, w)
-    valid = np.all(caps[idx] > 0, axis=1)
+    combos, idx, masks = _row_patterns(m, w)
+    # caps never go negative, so a product is 0 exactly when a row is full
+    weights = np.array(caps)[idx].prod(axis=1)
+    valid = weights > 0
     if used is not None:
         if flags:
             valid &= ~used[masks]
         elif used:
             valid &= np.fromiter((mk not in used for mk in masks), dtype=bool, count=len(masks))
-    while np.any(valid):
-        cand = np.flatnonzero(valid)
-        weights = np.prod(caps[idx[cand]].astype(float), axis=1)
-        pick = cand[rng.choice(cand.shape[0], p=weights / weights.sum())]
-        rows = idx[pick]
-        caps[rows] -= 1
+    cand = valid.nonzero()[0]
+    weights = weights[cand].astype(float)
+    while cand.shape[0]:
+        # Generator.choice(len(weights), p=weights / weights.sum()), step by step
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        i = int(cdf.searchsorted(rng.random(), side="right"))
+        pick = int(cand[i])
+        rows = combos[pick]
+        for r in rows:
+            caps[r] -= 1
         if _gale_ryser_feasible(caps, rest_counts):
             entries[rows, c] = 1
             if used is not None:
@@ -292,8 +313,10 @@ def _place_column(entries, caps, used, c, w, rest_counts, rng) -> bool:
                 else:
                     used.add(int(masks[pick]))
             return True
-        caps[rows] += 1
-        valid[pick] = False
+        for r in rows:
+            caps[r] += 1
+        cand = np.delete(cand, i)
+        weights = np.delete(weights, i)
     return False
 
 
@@ -312,9 +335,9 @@ def verify_profile(mat: SensingMatrix, profile: WeightProfile) -> tuple[bool, st
         row_counts[int(w)] = row_counts.get(int(w), 0) + 1
     if row_counts != profile.row_weights:
         return False, f"row weight multiset {row_counts} != {profile.row_weights}"
-    if profile.distinct_cols and np.unique(mat.entries, axis=1).shape[1] != mat.n:
+    if profile.distinct_cols and _has_duplicate_rows(mat.entries.T):
         return False, "duplicate columns"
-    if profile.distinct_rows and np.unique(mat.entries, axis=0).shape[0] != mat.m:
+    if profile.distinct_rows and _has_duplicate_rows(mat.entries):
         return False, "duplicate rows"
     return True, None
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,23 +51,33 @@ class UniformLoad:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=size)
 
-    def sum_density(self, k: int, y) -> np.ndarray:
+    def sum_density(self, k: int | np.ndarray, y) -> np.ndarray:
         """Density of the sum of k independent loads, evaluated at y.
 
-        Exact piecewise polynomial (Irwin-Hall rescaled from [0,1]^k) for
-        k <= 12; a matched-moment normal approximation beyond, where the
-        alternating-sum form loses too many digits to cancellation.
+        k is one count, giving an array shaped like y, or a 1-D array of
+        counts, giving one row per count.  Exact piecewise polynomial
+        (Irwin-Hall rescaled from [0,1]^k) for k <= 12; a matched-moment
+        normal approximation beyond, where the alternating-sum form loses
+        too many digits to cancellation.
         """
-        if k < 1:
+        ks = np.asarray(k)
+        if np.any(ks < 1):
             raise ValueError("k must be >= 1")
         y = np.asarray(y, dtype=float)
+        rows = np.atleast_1d(ks)
+        kcol = rows.reshape((-1,) + (1,) * y.ndim)
         width = self.hi - self.lo
-        if k <= 12:
-            u = (y - k * self.lo) / width
-            return _irwin_hall_pdf(u, k) / width
-        mean = k * 0.5 * (self.lo + self.hi)
-        var = k * width * width / 12.0
-        return np.exp(-0.5 * (y - mean) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
+        out = np.empty((rows.shape[0],) + y.shape)
+        exact = rows <= 12
+        if exact.any():
+            u = (y - kcol[exact] * self.lo) / width
+            out[exact] = _irwin_hall_pdf(u, rows[exact]) / width
+        if not exact.all():
+            kn = kcol[~exact]
+            mean = kn * 0.5 * (self.lo + self.hi)
+            var = kn * width * width / 12.0
+            out[~exact] = np.exp(-0.5 * (y - mean) ** 2 / var) / np.sqrt(2.0 * math.pi * var)
+        return out.reshape(ks.shape + y.shape)
 
 
 @dataclass(frozen=True)
@@ -103,21 +114,43 @@ class PointLoad:
 LoadLaw = UniformLoad | PointLoad
 
 
-def _irwin_hall_pdf(x, k: int) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _irwin_hall_terms(ks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Signed binomial coefficients (-1)^j C(k, j), j = 0..max k, and (k-1)!."""
+    top = max(ks)
+    coef = np.array([[(-1.0) ** j * math.comb(k, j) for j in range(top + 1)] for k in ks])
+    gamma = np.array([math.gamma(k) for k in ks])
+    coef.flags.writeable = gamma.flags.writeable = False
+    return coef, gamma
+
+
+def _irwin_hall_pdf(x, k: int | np.ndarray) -> np.ndarray:
     """Standard Irwin-Hall density (sum of k uniforms on [0,1]) at x.
 
     f(x) = 1/(k-1)! * sum_j (-1)^j C(k,j) max(x-j, 0)^(k-1); terms with
     j > floor(x) vanish through the max, so no explicit floor is needed.
+    k is one count, or a 1-D array of counts with one row of x per count.
+    Each row is summed over j in increasing order, as for its count alone.
     """
     x = np.asarray(x, dtype=float)
-    if k == 1:
-        return ((x >= 0.0) & (x <= 1.0)).astype(float)
-    total = np.zeros_like(x)
-    for j in range(k + 1):
-        total += (-1.0) ** j * math.comb(k, j) * np.clip(x - j, 0.0, None) ** (k - 1)
-    out = total / math.gamma(k)
+    ks = np.asarray(k)
+    kcol = ks.reshape(ks.shape + (1,) * (x.ndim - ks.ndim))
+    coef, gamma = _irwin_hall_terms(tuple(int(v) for v in ks.flat))
+    squared = kcol == 3  # numpy squares a scalar power of 2; an array power would not
+    total = np.zeros(np.broadcast_shapes(kcol.shape, x.shape))
+    # terms with j >= max(x) are exact zeros, and adding them changes nothing
+    stop = coef.shape[1]
+    top = x.max(initial=-np.inf)
+    if top < stop:
+        stop = max(0, math.ceil(top))
+    for j in range(stop):
+        base = np.clip(x - j, 0.0, None)
+        power = base ** (kcol - 1)
+        np.copyto(power, np.square(base), where=squared)
+        total += coef[:, j].reshape(kcol.shape) * power
     # cancellation can leave tiny negative dust near the support edges
-    return np.clip(out, 0.0, None)
+    out = np.clip(total / gamma.reshape(kcol.shape), 0.0, None)
+    return np.where(kcol == 1, ((x >= 0.0) & (x <= 1.0)).astype(float), out)
 
 
 # ---------------------------------------------------------------------------

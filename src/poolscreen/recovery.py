@@ -114,26 +114,43 @@ def _gh_nodes(points: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sum_measurement_logpdf(
-    z: float, k: int, law: LoadLaw, noise: NoiseModel, gh_points: int = 64
-) -> float:
+    z: float, k: int | np.ndarray, law: LoadLaw, noise: NoiseModel, gh_points: int = 64
+) -> float | np.ndarray:
     """Log density at z > 0 of (sum of k iid loads) times the noise factor.
 
-    For an atomic law the sum is a known constant y, so the density is
-    p_eps(z/y)/y exactly.  Otherwise the noise is integrated out with
-    Gauss-Hermite quadrature in log space.
+    k is one count, giving a float, or an array of counts, giving an array
+    of the same shape.  For an atomic law the sum is a known constant y, so
+    the density is p_eps(z/y)/y exactly.  Otherwise the noise is integrated
+    out with Gauss-Hermite quadrature in log space, all counts in one pass.
     """
     if z <= 0:
         raise ValueError("z must be positive")
-    if k < 1:
+    ks = np.asarray(k)
+    if np.any(ks < 1):
         raise ValueError("k must be >= 1")
     if law.is_atomic:
-        y = k * law.value
-        return float(noise.logpdf(z / y)) - math.log(y)
-    x, w = _gh_nodes(gh_points)
-    u = noise.mu_eps + math.sqrt(2.0) * noise.sigma_eps * x
-    fy = law.sum_density(k, z * np.exp(-u))
-    val = float(np.sum(w * fy * np.exp(-u))) / _SQRT_PI
-    return math.log(val) if val > 0.0 else -math.inf
+        # one scalar evaluation per count: numpy squares a scalar with pow but
+        # an array with multiply, which can differ in the last bit
+        ys = [c * law.value for c in ks.ravel().tolist()]
+        logs = np.array([float(noise.logpdf(z / y)) - math.log(y) for y in ys])
+    else:
+        x, w = _gh_nodes(gh_points)
+        u = noise.mu_eps + math.sqrt(2.0) * noise.sigma_eps * x
+        shrink = np.exp(-u)
+        fy = law.sum_density(ks.ravel(), z * shrink)
+        vals = (w * fy * shrink).sum(axis=1) / _SQRT_PI
+        logs = np.array([math.log(v) if v > 0.0 else -math.inf for v in vals.tolist()])
+    return float(logs[0]) if ks.ndim == 0 else logs.reshape(ks.shape)
+
+
+@lru_cache(maxsize=8)
+def _log_binomial(s: int) -> np.ndarray:
+    """log C(s, k) for k = 1..s."""
+    out = np.array(
+        [math.lgamma(s + 1) - math.lgamma(k + 1) - math.lgamma(s - k + 1) for k in range(1, s + 1)]
+    )
+    out.flags.writeable = False
+    return out
 
 
 def count_log_posterior(
@@ -151,16 +168,12 @@ def count_log_posterior(
         raise ValueError("p must lie in [0, 1]")
     ks = np.arange(1, s + 1)
     lp = math.log(p) if p > 0 else -math.inf
-    binom = np.array(
-        [math.lgamma(s + 1) - math.lgamma(k + 1) - math.lgamma(s - k + 1) for k in ks]
-    )
     if p < 1.0:
         tail = (s - ks) * math.log1p(-p)
     else:
         tail = np.where(ks == s, 0.0, -np.inf)
-    log_prior = binom + ks * lp + tail
-    log_like = np.array([sum_measurement_logpdf(z1, int(k), law, noise) for k in ks])
-    return log_prior + log_like
+    log_prior = _log_binomial(s) + ks * lp + tail
+    return log_prior + sum_measurement_logpdf(z1, ks, law, noise)
 
 
 def estimate_pool_count(

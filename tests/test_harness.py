@@ -216,6 +216,17 @@ def test_run_experiment_thread_count_does_not_change_results(tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("scheme, pinned", [("stap2", False), ("stamp", True)])
+def test_run_experiment_thread_count_does_not_change_decoded_results(tmp_path, scheme, pinned):
+    # decoded schemes draw stage-2 designs (sampled or pinned) and run the
+    # count posterior and the list decoder in the worker processes
+    cfg = _mini_config(schemes=(scheme,), k_values=(3,), trials=4, pin_builtin_matrices=pinned)
+    run_experiment(cfg, out_dir=tmp_path / "serial", threads=1)
+    run_experiment(cfg, out_dir=tmp_path / "pooled", threads=2)
+    for name in ("results.csv", "trials.jsonl"):
+        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pooled" / name).read_bytes()
+
+
 def test_trial_records_are_self_consistent():
     cfg = _mini_config(schemes=("stap2",), trials=2, k_values=(3,))
     _, records = run_experiment(cfg)

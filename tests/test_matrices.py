@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -103,15 +104,63 @@ def test_profile_sample_infeasible_distinctness_gives_up():
         profile_sample(profile, 2, 2, np.random.default_rng(0), max_attempts=50)
 
 
+def _stream_digest(mats, rng) -> str:
+    """sha256 over the matrices' entries, then the generator's next 8 bytes."""
+    h = hashlib.sha256()
+    for mat in mats:
+        h.update(mat.entries.tobytes())
+    h.update(rng.bytes(8))
+    return h.hexdigest()
+
+
+# Digests of the 1000 matrices test_profile_sample_always_satisfies_profile
+# draws per profile at seed 2468, and of the draw after them.  They pin the
+# sampler's whole random stream (which patterns it draws, and how many
+# numbers it takes), not only its first matrix.
+SAMPLER_STREAM_DIGESTS = {
+    (5, 31): "8bebe21648871117be1ef882ef6dfec76f8f651c1a42a8268867f5806c1bc7b0",
+    (6, 31): "7775a4de1adf4d22e3280c66aed9079a023f4c56b928d3eeacd0f642c045de79",
+    (7, 31): "c9fe7d6b0693dd073740f8e987b05292c0507abff0525c998def001a11d795db",
+    (8, 31): "9ebaba7e71c52d026b587175df52c73cd02eddee497ccdba0cda73cced94bd9e",
+    (9, 62): "21177b1e37e1c1fa99a729953fa3c26e6cea44e7c4f7979b653ff9c9d00834af",
+    (10, 62): "7d8f17aaea7fc3261aa321c5d0eb0c781514bcdec444416ede19ffaea72d25a0",
+    (11, 62): "fb2cf60cc70c4d8f1ebf116baf3595ca8ca08d889367b5f66c30fcfe86284d1c",
+}
+
+
 @pytest.mark.parametrize("key", sorted(BUILTIN_PROFILES))
 def test_profile_sample_always_satisfies_profile(key):
-    # the sampler must never hand back a matrix violating its own profile
+    # the sampler must never hand back a matrix violating its own profile,
+    # and must keep drawing the same stream
     profile = BUILTIN_PROFILES[key]
     rng = np.random.default_rng(a_fixed := 2468)
+    mats = []
     for _ in range(1000):
         mat = profile_sample(profile, key[0], key[1], rng)
         ok, report = verify_profile(mat, profile)
         assert ok, report
+        mats.append(mat)
+    assert _stream_digest(mats, rng) == SAMPLER_STREAM_DIGESTS[key]
+
+
+# Digests of the one 21x14 matrix drawn at each seed, and of the draw after it.
+WIDE_STREAM_DIGESTS = {
+    0: "64224f0ff4d3c022d565270ca06327179e7b54cc7a3db3b9a571b015f76f8eeb",
+    1: "ac87197ea11147078a48a805088bdc02bb77347d7adda426cdae49e4cdb45c59",
+    2: "60990dd916ce2f29a186c25f09d67c4dd3c18f2143d7979fcfa1aa56b204bd6b",
+    3: "67bf03feac0c6cc1a57165dfb348b3a2813b01c2e4f11b466c18f62b014a49cc",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(WIDE_STREAM_DIGESTS))
+def test_profile_sample_more_than_20_rows(seed):
+    # with m > 20 the used row patterns are kept in a set, not a flag array
+    profile = WeightProfile(col_weights={3: 14}, row_weights={2: 21})
+    rng = np.random.default_rng(seed)
+    mat = profile_sample(profile, 21, 14, rng)
+    ok, report = verify_profile(mat, profile)
+    assert ok, report
+    assert _stream_digest([mat], rng) == WIDE_STREAM_DIGESTS[seed]
 
 
 def test_profile_sample_varies_with_seed():

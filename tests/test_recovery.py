@@ -227,6 +227,76 @@ def test_count_estimate_rejects_nonpositive_reading():
         estimate_pool_count(-3.0, 31, 0.01, NOISE, LAW)
 
 
+GH_NODES = np.polynomial.hermite.hermgauss(64)
+
+
+def _scalar_count_log_posterior(z1, s, p, noise, law):
+    """Reference: the count posterior evaluated one k at a time.
+
+    The per-k loop the vectorized posterior replaced, kept verbatim: one
+    Irwin-Hall sum (k <= 12) or matched normal (k > 12) per count, one
+    Gauss-Hermite quadrature per count.
+    """
+
+    def irwin_hall(x, k):
+        if k == 1:
+            return ((x >= 0.0) & (x <= 1.0)).astype(float)
+        total = np.zeros_like(x)
+        for j in range(k + 1):
+            total += (-1.0) ** j * math.comb(k, j) * np.clip(x - j, 0.0, None) ** (k - 1)
+        return np.clip(total / math.gamma(k), 0.0, None)
+
+    def sum_density(k, y):
+        width = law.hi - law.lo
+        if k <= 12:
+            return irwin_hall((y - k * law.lo) / width, k) / width
+        mean = k * 0.5 * (law.lo + law.hi)
+        var = k * width * width / 12.0
+        return np.exp(-0.5 * (y - mean) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
+
+    def log_like(k):
+        if law.is_atomic:
+            y = k * law.value
+            return float(noise.logpdf(z1 / y)) - math.log(y)
+        x, w = GH_NODES
+        u = noise.mu_eps + math.sqrt(2.0) * noise.sigma_eps * x
+        fy = sum_density(k, z1 * np.exp(-u))
+        val = float(np.sum(w * fy * np.exp(-u))) / math.sqrt(math.pi)
+        return math.log(val) if val > 0.0 else -math.inf
+
+    ks = np.arange(1, s + 1)
+    binom = np.array(
+        [math.lgamma(s + 1) - math.lgamma(k + 1) - math.lgamma(s - k + 1) for k in ks]
+    )
+    log_prior = binom + ks * math.log(p) + (s - ks) * math.log1p(-p)
+    return log_prior + np.array([log_like(int(k)) for k in ks])
+
+
+@pytest.mark.parametrize("law", [UniformLoad(), PointLoad(10.0)], ids=["uniform", "point"])
+def test_count_posterior_equals_per_count_reference(law):
+    # same arithmetic in the same order, so equal to the last bit; readings
+    # span the whole range and sit on the kinks of the sum density
+    lo, hi = LAW.lo, LAW.hi
+    zs = np.concatenate([np.geomspace(0.5, 3e4, 41), np.arange(1, 32) * lo, np.arange(1, 31) * hi])
+    for p in (1e-3, 0.05, 0.125, 0.3):
+        for s in (1, 12, 13, 31):
+            for z in zs.tolist():
+                want = _scalar_count_log_posterior(z, s, p, NOISE, law)
+                got = count_log_posterior(z, s, p, NOISE, law)
+                assert np.array_equal(got, want), (z, s, p)
+
+
+def test_sum_logpdf_takes_one_count_or_an_array():
+    ks = np.array([[1, 2, 3], [12, 13, 31]])
+    got = sum_measurement_logpdf(2500.0, ks, LAW, NOISE)
+    assert got.shape == ks.shape
+    want = [[sum_measurement_logpdf(2500.0, int(k), LAW, NOISE) for k in row] for row in ks]
+    assert np.array_equal(got, np.array(want))
+    assert isinstance(sum_measurement_logpdf(2500.0, 3, LAW, NOISE), float)
+    with pytest.raises(ValueError, match="k must be"):
+        sum_measurement_logpdf(2500.0, np.array([1, 0]), LAW, NOISE)
+
+
 # ---------------------------------------------------------------------------
 # subset scoring
 
