@@ -62,8 +62,8 @@ class ExperimentConfig:
         object.__setattr__(self, "alpha_values", tuple(float(a) for a in self.alpha_values))
         if self.q * self.s != self.n:
             raise ValueError(f"q*s = {self.q * self.s} does not match n = {self.n}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not isinstance(self.trials, int) or self.trials < 1:
+            raise ValueError("trials must be an integer >= 1")
         if not self.k_values:
             raise ValueError("k_values must be non-empty")
         if any(not 0 <= k <= self.n for k in self.k_values):
@@ -79,6 +79,11 @@ class ExperimentConfig:
             raise ValueError("alpha_values must be non-empty")
         if any(not 0.0 < a <= 1.0 for a in self.alpha_values):
             raise ValueError("alpha values must lie in (0, 1]")
+        # the noise, the load law and each scheme's settings check their own
+        # values; build them once here so that a bad value fails before any trial
+        self.noise()
+        for name in self.schemes:
+            self.scheme_config(name, self.alpha_values[0])
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -222,7 +227,7 @@ class AggregateReport:
 
 
 def _ratio_mean(pairs: list[tuple[int, int]]) -> float:
-    """Mean of num/(num+den2) style ratios, skipping zero denominators."""
+    """Mean of num/den over the pairs with den > 0; nan when there are none."""
     vals = [num / den for num, den in pairs if den > 0]
     return sum(vals) / len(vals) if vals else math.nan
 

@@ -20,10 +20,6 @@ logger = logging.getLogger(__name__)
 MEASUREMENT_FLOOR = 1e-300
 
 
-class BelowDetection(ValueError):
-    """Raised when a cycle count exceeds the detection limit (negative test)."""
-
-
 # ---------------------------------------------------------------------------
 # viral-load laws
 
@@ -38,10 +34,6 @@ class UniformLoad:
     def __post_init__(self):
         if not (0.0 < self.lo < self.hi):
             raise ValueError(f"need 0 < lo < hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def is_atomic(self) -> bool:
-        return False
 
     @property
     def log_density_inside(self) -> float:
@@ -78,40 +70,6 @@ class UniformLoad:
             var = kn * width * width / 12.0
             out[~exact] = np.exp(-0.5 * (y - mean) ** 2 / var) / np.sqrt(2.0 * math.pi * var)
         return out.reshape(ks.shape + y.shape)
-
-
-@dataclass(frozen=True)
-class PointLoad:
-    """Every infected sample carries the same known load."""
-
-    value: float = 1.0
-
-    def __post_init__(self):
-        if self.value <= 0:
-            raise ValueError("load must be positive")
-
-    @property
-    def is_atomic(self) -> bool:
-        return True
-
-    @property
-    def lo(self) -> float:
-        return self.value
-
-    @property
-    def hi(self) -> float:
-        return self.value
-
-    @property
-    def log_density_inside(self) -> float:
-        # an atom carries probability one; log-mass zero
-        return 0.0
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.full(size, self.value)
-
-
-LoadLaw = UniformLoad | PointLoad
 
 
 @lru_cache(maxsize=64)
@@ -185,9 +143,6 @@ class NoiseModel:
             - (le - self.mu_eps) ** 2 / (2.0 * self.sigma_eps**2)
         )
 
-    def pdf(self, eps) -> np.ndarray:
-        return np.exp(self.logpdf(eps))
-
 
 def apply_noise_vec(y: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
     """Noisy readings for pooled quantities y >= 0; zero stays exactly zero.
@@ -240,7 +195,7 @@ class Signal:
 
 
 def generate_signal_fixed_k(
-    n: int, k: int, law: LoadLaw, rng: np.random.Generator
+    n: int, k: int, law: UniformLoad, rng: np.random.Generator
 ) -> Signal:
     """Draw a signal with exactly k positives at uniformly random positions."""
     if not (0 <= k <= n):
@@ -251,51 +206,3 @@ def generate_signal_fixed_k(
         values[support] = law.sample(rng, k)
     return Signal(values)
 
-
-# ---------------------------------------------------------------------------
-# cycle-count conversions
-
-
-@dataclass(frozen=True)
-class QpcrParams:
-    """Amplification model: a load x crosses threshold after C(x) cycles.
-
-    One cycle multiplies the quantity by b, so C(x) = log_b(d_min / x) with
-    d_min the detectable quantity, and a +/- delta cycle read-off error maps
-    to a multiplicative b**delta on the reconstructed quantity.
-    """
-
-    b: float = 1.95
-    d_min: float = 1.0
-    c_max: int = 50
-    sigma_delta: float = 0.1
-
-    def __post_init__(self):
-        if self.b <= 1.0:
-            raise ValueError("amplification base b must exceed 1")
-        if self.d_min <= 0:
-            raise ValueError("d_min must be positive")
-        if self.c_max < 1:
-            raise ValueError("c_max must be a positive cycle count")
-        if self.sigma_delta < 0:
-            raise ValueError("sigma_delta must be non-negative")
-
-    def noise_model(self, mu_eps: float = 0.0) -> NoiseModel:
-        """Log-normal noise equivalent to a N(0, sigma_delta^2) cycle error."""
-        return NoiseModel(sigma_eps=self.sigma_delta * math.log(self.b), mu_eps=mu_eps)
-
-
-def cycle_to_measurement(c: float, params: QpcrParams) -> float:
-    """Reconstructed quantity for a threshold cycle c, 0 < c <= c_max."""
-    if c <= 0:
-        raise ValueError("cycle count must be positive")
-    if c > params.c_max:
-        raise BelowDetection(f"cycle {c} exceeds c_max={params.c_max}; report the test negative")
-    return params.d_min * params.b ** (-c)
-
-
-def measurement_to_cycle(z: float, params: QpcrParams) -> float:
-    """Threshold cycle that reconstructs to quantity z > 0."""
-    if z <= 0:
-        raise ValueError("measurement must be positive to have a cycle count")
-    return math.log(params.d_min / z) / math.log(params.b)

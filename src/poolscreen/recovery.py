@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .model import LoadLaw, NoiseModel
+from .model import NoiseModel, UniformLoad
 
 _SQRT_PI = math.sqrt(math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -114,32 +114,25 @@ def _gh_nodes(points: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sum_measurement_logpdf(
-    z: float, k: int | np.ndarray, law: LoadLaw, noise: NoiseModel, gh_points: int = 64
+    z: float, k: int | np.ndarray, law: UniformLoad, noise: NoiseModel, gh_points: int = 64
 ) -> float | np.ndarray:
     """Log density at z > 0 of (sum of k iid loads) times the noise factor.
 
     k is one count, giving a float, or an array of counts, giving an array
-    of the same shape.  For an atomic law the sum is a known constant y, so
-    the density is p_eps(z/y)/y exactly.  Otherwise the noise is integrated
-    out with Gauss-Hermite quadrature in log space, all counts in one pass.
+    of the same shape.  The noise is integrated out with Gauss-Hermite
+    quadrature in log space, all counts in one pass.
     """
     if z <= 0:
         raise ValueError("z must be positive")
     ks = np.asarray(k)
     if np.any(ks < 1):
         raise ValueError("k must be >= 1")
-    if law.is_atomic:
-        # one scalar evaluation per count: numpy squares a scalar with pow but
-        # an array with multiply, which can differ in the last bit
-        ys = [c * law.value for c in ks.ravel().tolist()]
-        logs = np.array([float(noise.logpdf(z / y)) - math.log(y) for y in ys])
-    else:
-        x, w = _gh_nodes(gh_points)
-        u = noise.mu_eps + math.sqrt(2.0) * noise.sigma_eps * x
-        shrink = np.exp(-u)
-        fy = law.sum_density(ks.ravel(), z * shrink)
-        vals = (w * fy * shrink).sum(axis=1) / _SQRT_PI
-        logs = np.array([math.log(v) if v > 0.0 else -math.inf for v in vals.tolist()])
+    x, w = _gh_nodes(gh_points)
+    u = noise.mu_eps + math.sqrt(2.0) * noise.sigma_eps * x
+    shrink = np.exp(-u)
+    fy = law.sum_density(ks.ravel(), z * shrink)
+    vals = (w * fy * shrink).sum(axis=1) / _SQRT_PI
+    logs = np.array([math.log(v) if v > 0.0 else -math.inf for v in vals.tolist()])
     return float(logs[0]) if ks.ndim == 0 else logs.reshape(ks.shape)
 
 
@@ -154,7 +147,7 @@ def _log_binomial(s: int) -> np.ndarray:
 
 
 def count_log_posterior(
-    z1: float, s: int, p: float, noise: NoiseModel, law: LoadLaw
+    z1: float, s: int, p: float, noise: NoiseModel, law: UniformLoad
 ) -> np.ndarray:
     """Unnormalized log posterior over k = 1..s given a positive pool reading.
 
@@ -177,7 +170,7 @@ def count_log_posterior(
 
 
 def estimate_pool_count(
-    z1: float, s: int, p: float, noise: NoiseModel, law: LoadLaw
+    z1: float, s: int, p: float, noise: NoiseModel, law: UniformLoad
 ) -> int:
     """Most probable number of positives in a pool read as z1 > 0.
 
@@ -191,26 +184,13 @@ def estimate_pool_count(
 # subset scoring
 
 
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """Multi-start projected Newton ascent over the load box (see _optimize_loads).
-
-    Each start takes Newton steps on the coordinates not held at a bound,
-    with Armijo backtracking from the full step; a single-column candidate
-    is solved in closed form instead.
-    """
-
-    starts: int = 5  # 1 reading-proportional start + the rest uniform
-    iters: int = 500  # cap on Newton iterations per start
-    rel_tol: float = 1e-9  # a start settles once a step's predicted gain is below this, relative
-    armijo: float = 1e-4  # sufficient-increase fraction of the backtracking
-    seed: int = 0  # stream for the random starts when no generator is passed
-
-    def __post_init__(self):
-        if self.starts < 1 or self.iters < 1:
-            raise ValueError("starts and iters must be positive")
-        if self.rel_tol <= 0 or not 0 < self.armijo < 1:
-            raise ValueError("bad tolerance settings")
+# Multi-start projected Newton ascent over the load box (see _optimize_loads):
+# each start takes Newton steps on the coordinates not held at a bound, with
+# Armijo backtracking from the full step.
+_STARTS = 5  # 1 reading-proportional start + the rest uniform
+_NEWTON_ITERS = 500  # cap on Newton iterations per start
+_REL_TOL = 1e-9  # a start settles once a step's predicted gain is below this, relative
+_ARMIJO = 1e-4  # sufficient-increase fraction of the backtracking
 
 
 @dataclass
@@ -218,8 +198,6 @@ class DecoderConfig:
     alpha: float = 0.9
     k_window: int = 1
     enumeration_cap: int = 200_000
-    optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
-    keep_candidates: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -232,18 +210,15 @@ class DecoderConfig:
 
 @dataclass(frozen=True)
 class CandidateScore:
-    """One candidate support with its joint score (kept in log form too).
+    """The best candidate support of a decode and its joint log score.
 
-    Inside a DecodeResult the subset holds column indices of the decoded
-    instance; score_subset echoes the survivor-local indices it was given.
-    converged reports whether the load search met its tolerance within the
-    iteration budget; the score is the best found either way.
+    The subset holds column indices of the decoded instance.  converged
+    reports whether the load search met its tolerance within the iteration
+    budget; the score is the best found either way.
     """
 
     subset: tuple[int, ...]
     log_score: float
-    score: float
-    argmax_loads: np.ndarray | None = None
     converged: bool = True
 
 
@@ -253,7 +228,6 @@ class DecodeResult:
     best: CandidateScore | None
     scored_count: int
     budget_exceeded: bool
-    candidates: list[CandidateScore] | None = None
 
 
 class BudgetExceeded(RuntimeError):
@@ -264,13 +238,7 @@ class BudgetExceeded(RuntimeError):
         self.result = result
 
 
-def _exp_score(log_score: float) -> float:
-    if log_score == -math.inf:
-        return 0.0
-    return math.exp(log_score) if log_score < 709.0 else math.inf
-
-
-def _prior_part(k: int, s_star: int, p: float, law: LoadLaw) -> float:
+def _prior_part(k: int, s_star: int, p: float, law: UniformLoad) -> float:
     lp = math.log(p) if p > 0 else -math.inf
     lq = math.log1p(-p) if p < 1 else -math.inf
     # guard the k = 0 and k = s_star corners against 0 * inf
@@ -283,15 +251,14 @@ def _prior_part(k: int, s_star: int, p: float, law: LoadLaw) -> float:
 
 
 class _Scorer:
-    """Shared per-instance quantities for scoring subsets of one reduction."""
+    """Shared per-instance quantities for scoring subsets of one reduction.
 
-    def __init__(self, reduced: ReducedInstance, p: float, noise: NoiseModel, law: LoadLaw,
-                 opt: OptimizerSettings):
+    The list decoder builds one only for m* >= 1 positive readings and feeds
+    it subsets of at least one column.
+    """
+
+    def __init__(self, reduced: ReducedInstance, p: float, noise: NoiseModel, law: UniformLoad):
         self.reduced = reduced
-        self.p = p
-        self.noise = noise
-        self.law = law
-        self.opt = opt
         self.v = np.log(reduced.sub_measurements) - noise.mu_eps  # (m*,)
         self.sig2 = noise.sigma_eps**2
         # constants of the log objective: the per-row density normalizers
@@ -307,17 +274,11 @@ class _Scorer:
 
     def coverage(self, subsets: np.ndarray) -> np.ndarray:
         """True where every positive reading pools at least one subset column."""
-        if self.reduced.m_star == 0:
-            return np.ones(subsets.shape[0], dtype=bool)
-        if subsets.shape[1] == 0:
-            return np.zeros(subsets.shape[0], dtype=bool)
         hit = self.reduced.sub_matrix[:, subsets] > 0  # (m*, N, k)
         return hit.any(axis=2).all(axis=0)
 
     def row_counts(self, subsets: np.ndarray) -> np.ndarray:
         """How many subset columns each positive reading pools: (N, m*)."""
-        if subsets.shape[1] == 0:
-            return np.zeros((subsets.shape[0], self.reduced.m_star))
         return self.reduced.sub_matrix[:, subsets].sum(axis=2).T
 
     def upper_bound(self, subsets: np.ndarray, cnt: np.ndarray) -> np.ndarray:
@@ -329,33 +290,16 @@ class _Scorer:
         the coupled maximum from above.
         """
         k = subsets.shape[1]
-        if self.reduced.m_star == 0:
-            return np.full(subsets.shape[0], self.priors[k] + self.const)
         log_cnt = np.log(np.maximum(cnt, 1.0))
         u = np.clip(self.v + self.sig2, log_cnt + self.log_lo, log_cnt + self.log_hi)
         term = u - (self.v - u) ** 2 / (2.0 * self.sig2)
         return term.sum(axis=1) + self.priors[k] + self.const
 
     def exact(self, subsets: np.ndarray, rng: np.random.Generator):
-        """Optimized log f, maximizing loads, and convergence per subset."""
-        N, k = subsets.shape
-        prior = self.priors[k]
-        ones = np.ones(N, dtype=bool)
-        if k == 0:
-            # only legal when nothing needs covering; the empty explanation
-            return np.full(N, prior + self.const), np.zeros((N, 0)), ones
-        if self.reduced.m_star == 0:
-            mid = np.full((N, k), 0.5 * (self.lo + self.hi))
-            return np.full(N, prior + self.const), mid, ones
+        """Optimized log f and convergence of the load search, per subset."""
         A = self.reduced.sub_matrix[:, subsets].transpose(1, 0, 2)  # (N, m*, k)
-        if self.law.is_atomic:
-            # the box is a point: evaluate, nothing to optimize
-            y = A.sum(axis=2) * self.law.value
-            u = np.log(y)
-            phi = (u - (self.v - u) ** 2 / (2.0 * self.sig2)).sum(axis=1)
-            return phi + prior + self.const, np.full((N, k), self.law.value), ones
-        phi, loads, conv = _optimize_loads(A, self.v, self.sig2, self.lo, self.hi, self.opt, rng)
-        return phi + prior + self.const, loads, conv
+        phi, _, conv = _optimize_loads(A, self.v, self.sig2, self.lo, self.hi, rng)
+        return phi + self.priors[subsets.shape[1]] + self.const, conv
 
 
 def _load_objective(A, X, v, sig2):
@@ -415,14 +359,14 @@ def _newton_direction(H, g, X, lo, hi):
 _NEWTON_BLOCK = 256
 
 
-def _optimize_loads(A, v, sig2, lo, hi, opt: OptimizerSettings, rng: np.random.Generator):
+def _optimize_loads(A, v, sig2, lo, hi, rng: np.random.Generator):
     """Multi-start projected Newton ascent of the load log-objective.
 
     A: (N, m, k) pooling patterns in which every row pools at least one
     column, v: (m,) debiased log readings.  Maximizes phi (see
-    _load_objective) over the box [lo, hi]^k from opt.starts starts per
+    _load_objective) over the box [lo, hi]^k from _STARTS starts per
     instance: one that splits each reading evenly over the columns it pools,
-    and opt.starts - 1 uniform draws, each run by _newton_ascent.
+    and _STARTS - 1 uniform draws, each run by _newton_ascent.
 
     With k = 1 every row pools the single column, so phi is concave in
     u = ln x and peaks at x = exp(mean(v) + sig2) clipped to the box; that
@@ -433,7 +377,7 @@ def _optimize_loads(A, v, sig2, lo, hi, opt: OptimizerSettings, rng: np.random.G
     converged, per instance.
     """
     N, m, k = A.shape
-    S = opt.starts
+    S = _STARTS
     starts = rng.uniform(lo, hi, size=(N, S - 1, k)) if S > 1 else np.empty((N, 0, k))
     if k == 1:
         X = np.full((N, 1), min(max(math.exp(v.mean() + sig2), lo), hi))
@@ -454,21 +398,21 @@ def _optimize_loads(A, v, sig2, lo, hi, opt: OptimizerSettings, rng: np.random.G
         block = slice(first, first + _NEWTON_BLOCK)
         n = X[block].shape[0]
         g, x, c = _newton_ascent(np.repeat(A[block], S, axis=0), X[block].reshape(n * S, k),
-                                 v, sig2, lo, hi, opt)
+                                 v, sig2, lo, hi)
         G[block], X[block], settled[block] = g.reshape(n, S), x.reshape(n, S, k), c.reshape(n, S)
     best = G.argmax(axis=1)
     rows = np.arange(N)
     return G[rows, best], X[rows, best], settled[rows, best]
 
 
-def _newton_ascent(A, X, v, sig2, lo, hi, opt: OptimizerSettings):
+def _newton_ascent(A, X, v, sig2, lo, hi):
     """Run projected Newton ascent from each start; A: (P, m, k), X: (P, k).
 
     Each iteration takes the step of _newton_direction with Armijo
     backtracking from t = 1.  A start settles when the step's predicted gain
-    g.d is at most opt.rel_tol * (1 + |phi|) (that last step is still tried
+    g.d is at most _REL_TOL * (1 + |phi|) (that last step is still tried
     once), or when backtracking finds no ascent; it is non-converged if
-    opt.iters iterations pass first.  Returns phi, the final loads and the
+    _NEWTON_ITERS iterations pass first.  Returns phi, the final loads and the
     settled flags, per start.
     """
     P = X.shape[0]
@@ -479,7 +423,7 @@ def _newton_ascent(A, X, v, sig2, lo, hi, opt: OptimizerSettings):
     # the unsettled starts, compacted whenever some settle
     alive = np.arange(P)
     Aa, Xa, Ga, Ya = A, X.copy(), G.copy(), Y
-    for _ in range(opt.iters):
+    for _ in range(_NEWTON_ITERS):
         AaT = Aa.transpose(0, 2, 1)
         r = v - np.log(Ya)
         q = (1.0 + r / sig2) / Ya  # d phi / d y
@@ -487,7 +431,7 @@ def _newton_ascent(A, X, v, sig2, lo, hi, opt: OptimizerSettings):
         w = (1.0 + (1.0 + r) / sig2) / (Ya * Ya)  # - d2 phi / d y2
         H = np.matmul(AaT * w[:, None, :], Aa)
         d = _newton_direction(H, g, Xa, lo, hi)
-        final = (g * d).sum(axis=1) <= opt.rel_tol * (1.0 + np.abs(Ga))
+        final = (g * d).sum(axis=1) <= _REL_TOL * (1.0 + np.abs(Ga))
 
         # projected Armijo backtracking; a final step gets one try at t = 1
         t = np.ones(alive.size)
@@ -498,7 +442,7 @@ def _newton_ascent(A, X, v, sig2, lo, hi, opt: OptimizerSettings):
             trial = np.clip(Xa[pend] + t[pend, None] * d[pend], lo, hi)
             Gt, Yt = _load_objective(Aa[pend], trial, v, sig2)
             gain = ((trial - Xa[pend]) * g[pend]).sum(axis=1)
-            good = Gt >= Ga[pend] + opt.armijo * np.maximum(gain, 0.0)
+            good = Gt >= Ga[pend] + _ARMIJO * np.maximum(gain, 0.0)
             hit = pend[good]
             Xn[hit], Gn[hit], Yn[hit] = trial[good], Gt[good], Yt[good]
             ok[hit] = True
@@ -516,69 +460,6 @@ def _newton_ascent(A, X, v, sig2, lo, hi, opt: OptimizerSettings):
             break
         Aa, Xa, Ga, Ya = Aa[keep], Xn[keep], Gn[keep], Yn[keep]
     return G, X, settled
-
-
-def score_subset(
-    reduced: ReducedInstance,
-    subset,
-    p: float,
-    noise: NoiseModel,
-    law: LoadLaw,
-    opt: OptimizerSettings | None = None,
-    rng: np.random.Generator | None = None,
-) -> CandidateScore:
-    """Joint score of one candidate support (its size times prior terms times
-    the best load explanation).  Zero when some positive reading is uncovered.
-    """
-    opt = opt or OptimizerSettings()
-    subset = tuple(int(j) for j in subset)
-    if any(not 0 <= j < reduced.s_star for j in subset) or len(set(subset)) != len(subset):
-        raise ValueError("subset must hold distinct survivor-local column indices")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    scorer = _Scorer(reduced, p, noise, law, opt)
-    arr = np.array([subset], dtype=np.intp).reshape(1, len(subset))
-    if not bool(scorer.coverage(arr)[0]):
-        return CandidateScore(subset=subset, log_score=-math.inf, score=0.0)
-    rng = rng if rng is not None else np.random.default_rng(opt.seed)
-    logf, loads, conv = scorer.exact(arr, rng)
-    return CandidateScore(
-        subset=subset,
-        log_score=float(logf[0]),
-        score=_exp_score(float(logf[0])),
-        argmax_loads=loads[0],
-        converged=bool(conv[0]),
-    )
-
-
-def log_posterior_gradient(
-    reduced: ReducedInstance,
-    subset,
-    loads: np.ndarray,
-    noise: NoiseModel,
-    law: LoadLaw | None = None,
-) -> np.ndarray:
-    """Gradient of the load log-objective at `loads` for one subset.
-
-    Valid only where every load and every pooled quantity is strictly
-    positive; when a law is supplied the loads must be strictly inside its
-    box, matching the region where the objective is differentiable.
-    """
-    subset = np.asarray(subset, dtype=np.intp)
-    loads = np.asarray(loads, dtype=np.float64)
-    if loads.shape != (subset.shape[0],):
-        raise ValueError("one load per subset column required")
-    if np.any(loads <= 0):
-        raise ValueError("loads must be strictly positive")
-    if law is not None and (np.any(loads <= law.lo) or np.any(loads >= law.hi)):
-        raise ValueError("loads must lie strictly inside the load box")
-    A = reduced.sub_matrix[:, subset]
-    y = A @ loads
-    if np.any(y <= 0):
-        raise ValueError("every positive reading must pool at least one subset column")
-    v = np.log(reduced.sub_measurements) - noise.mu_eps
-    u = np.log(y)
-    return A.T @ ((1.0 + (v - u) / noise.sigma_eps**2) / y)
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +507,8 @@ class _ListAccumulator:
         self.scored = 0
         self.best_logf = -math.inf
         self.best_subset: tuple[int, ...] | None = None
-        self.best_loads: np.ndarray | None = None
         self.best_converged = True
-        self.kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.kept: list[tuple[np.ndarray, np.ndarray]] = []
         self.exceeded = False
 
     def feed(self, subsets: np.ndarray) -> None:
@@ -649,59 +529,29 @@ class _ListAccumulator:
         if not np.any(keep):
             return
         subsets = subsets[keep]
-        logf, loads, conv = self.scorer.exact(subsets, self.rng)
+        logf, conv = self.scorer.exact(subsets, self.rng)
         top = int(np.argmax(logf))
         if logf[top] > self.best_logf:
             self.best_logf = float(logf[top])
             self.best_subset = tuple(int(j) for j in subsets[top])
-            self.best_loads = loads[top].copy()
             self.best_converged = bool(conv[top])
         sel = logf >= self.log_alpha + self.best_logf
         if np.any(sel):
-            self.kept.append((subsets[sel], logf[sel], conv[sel]))
+            self.kept.append((subsets[sel], logf[sel]))
 
-    def result(self, reduced: ReducedInstance, keep_candidates: bool) -> DecodeResult:
+    def result(self, reduced: ReducedInstance) -> DecodeResult:
         if self.best_subset is None or self.best_logf == -math.inf:
             # nothing admissible explains the readings
-            return DecodeResult(
-                estimate=(),
-                best=None,
-                scored_count=self.scored,
-                budget_exceeded=self.exceeded,
-                candidates=[] if keep_candidates else None,
-            )
+            return DecodeResult((), None, self.scored, self.exceeded)
         threshold = self.log_alpha + self.best_logf
-        members: list[tuple[tuple[int, ...], float, bool]] = []
-        union: set[int] = set()
         cols = reduced.survivors
-        for subs, logf, conv in self.kept:
-            sel = logf >= threshold
-            for row, lf, cv in zip(subs[sel], logf[sel], conv[sel]):
-                local = tuple(int(cols[j]) for j in row)
-                members.append((local, float(lf), bool(cv)))
-                union.update(local)
-        estimate = tuple(sorted(union))
+        union = {int(cols[j]) for subs, logf in self.kept for j in subs[logf >= threshold].flat}
         best = CandidateScore(
             subset=tuple(int(cols[j]) for j in self.best_subset),
             log_score=self.best_logf,
-            score=_exp_score(self.best_logf),
-            argmax_loads=self.best_loads,
             converged=self.best_converged,
         )
-        candidates = None
-        if keep_candidates:
-            members.sort(key=lambda item: (-item[1], item[0]))
-            candidates = [
-                CandidateScore(subset=sub, log_score=lf, score=_exp_score(lf), converged=cv)
-                for sub, lf, cv in members
-            ]
-        return DecodeResult(
-            estimate=estimate,
-            best=best,
-            scored_count=self.scored,
-            budget_exceeded=self.exceeded,
-            candidates=candidates,
-        )
+        return DecodeResult(tuple(sorted(union)), best, self.scored, self.exceeded)
 
 
 def _list_decode(
@@ -711,7 +561,7 @@ def _list_decode(
     cfg: DecoderConfig,
     p: float,
     noise: NoiseModel,
-    law: LoadLaw,
+    law: UniformLoad,
     rng: np.random.Generator | None,
 ) -> DecodeResult:
     """List decoding over survivor positions split into blocks, one per pool.
@@ -734,10 +584,10 @@ def _list_decode(
             raise ValueError(f"k_hat must lie in [1, {size}], got {k_hat}")
         windows.append(range(max(k_hat - cfg.k_window, 1), min(k_hat + cfg.k_window, size) + 1))
     if reduced.s_star == 0:
-        return DecodeResult((), None, 0, False, [] if cfg.keep_candidates else None)
+        return DecodeResult((), None, 0, False)
 
-    rng = rng if rng is not None else np.random.default_rng(cfg.optimizer.seed)
-    scorer = _Scorer(reduced, p, noise, law, cfg.optimizer)
+    rng = rng if rng is not None else np.random.default_rng(0)
+    scorer = _Scorer(reduced, p, noise, law)
     acc = _ListAccumulator(scorer, cfg.enumeration_cap, math.log(cfg.alpha), rng)
     for sizes in itertools.product(*windows):
         for chunk in _block_chunks(blocks, sizes):
@@ -747,7 +597,7 @@ def _list_decode(
                 break
         if acc.exceeded:
             break
-    result = acc.result(reduced, cfg.keep_candidates)
+    result = acc.result(reduced)
     if result.budget_exceeded:
         raise BudgetExceeded(result)
     return result
@@ -759,7 +609,7 @@ def map_list_decode(
     cfg: DecoderConfig,
     p: float,
     noise: NoiseModel,
-    law: LoadLaw,
+    law: UniformLoad,
     rng: np.random.Generator | None = None,
 ) -> DecodeResult:
     """Score candidate supports of size k_hat and its neighbors; return the
@@ -779,7 +629,7 @@ def map_list_decode_mixed(
     cfg: DecoderConfig,
     p: float,
     noise: NoiseModel,
-    law: LoadLaw,
+    law: UniformLoad,
     half_width: int,
     rng: np.random.Generator | None = None,
 ) -> DecodeResult:

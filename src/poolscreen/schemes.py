@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .matrices import BUILTIN_PROFILES, builtin_matrix, profile_sample
-from .model import LoadLaw, NoiseModel, Signal, UniformLoad, apply_noise_vec
+from .model import NoiseModel, Signal, UniformLoad, apply_noise_vec
 from .recovery import (
     BudgetExceeded,
     DecoderConfig,
@@ -34,13 +34,13 @@ logger = logging.getLogger(__name__)
 
 SCHEME_NAMES = ("individual", "dorfman", "stap1", "stap2", "stamp")
 
-
-def _default_rows_by_khat() -> dict[int, int]:
-    return {1: 5, 2: 6, 3: 7, 4: 8}
-
-
-def _default_mixed_rows() -> dict[tuple[int, int], int]:
-    return {(1, 1): 9, (2, 1): 10, (2, 2): 11}
+# Stage-2 row counts: stap1's fixed count; a single pool's count by its count
+# estimate (estimates above the largest key take the largest key's rows); and
+# a mixed pair's count by its two estimates, larger first (a pair missing
+# here is decoded as two single pools).
+STAP1_ROWS = 6
+ROWS_BY_KHAT = {1: 5, 2: 6, 3: 7, 4: 8}
+MIXED_ROWS_BY_PAIR = {(1, 1): 9, (2, 1): 10, (2, 2): 11}
 
 
 @dataclass
@@ -48,13 +48,10 @@ class SchemeConfig:
     scheme: str
     q: int
     s: int
-    stage2_rows_fixed: int = 6
-    stage2_rows_by_khat: dict[int, int] = field(default_factory=_default_rows_by_khat)
-    mixed_rows_by_pair: dict[tuple[int, int], int] = field(default_factory=_default_mixed_rows)
     kappa: int = 2
     pin_builtin_matrices: bool = False
     decoder: DecoderConfig = field(default_factory=DecoderConfig)
-    load_law: LoadLaw = field(default_factory=UniformLoad)
+    load_law: UniformLoad = field(default_factory=UniformLoad)
 
     def __post_init__(self):
         if self.scheme not in SCHEME_NAMES:
@@ -63,18 +60,6 @@ class SchemeConfig:
             raise ValueError("q and s must be positive")
         if self.kappa < 1:
             raise ValueError("kappa must be >= 1")
-        if self.stage2_rows_fixed < 1:
-            raise ValueError("stage2_rows_fixed must be positive")
-        keys = sorted(self.stage2_rows_by_khat)
-        if keys != list(range(1, len(keys) + 1)):
-            raise ValueError("stage2_rows_by_khat keys must be 1..K without gaps")
-        if any(v < 1 for v in self.stage2_rows_by_khat.values()):
-            raise ValueError("stage-2 row counts must be positive")
-        self.mixed_rows_by_pair = {
-            (max(a, b), min(a, b)): v for (a, b), v in self.mixed_rows_by_pair.items()
-        }
-        if any(v < 1 for v in self.mixed_rows_by_pair.values()):
-            raise ValueError("mixed row counts must be positive")
         if self.scheme in ("stap1", "stap2", "stamp") and self.s != 31:
             # coded stage-2 designs are defined for width-31 pools only
             raise ValueError(f"scheme {self.scheme!r} needs s = 31, got s = {self.s}")
@@ -87,12 +72,11 @@ class SchemeConfig:
         """Stage-2 row count for a singly decoded pool with count estimate k_hat
         (stap1 ignores the estimate)."""
         if self.scheme == "stap1":
-            return self.stage2_rows_fixed
-        top = max(self.stage2_rows_by_khat)
-        return self.stage2_rows_by_khat[min(max(k_hat, 1), top)]
+            return STAP1_ROWS
+        return ROWS_BY_KHAT[min(max(k_hat, 1), max(ROWS_BY_KHAT))]
 
     def rows_for_pair(self, ka: int, kb: int) -> int | None:
-        return self.mixed_rows_by_pair.get((max(ka, kb), min(ka, kb)))
+        return MIXED_ROWS_BY_PAIR.get((max(ka, kb), min(ka, kb)))
 
 
 @dataclass(frozen=True)

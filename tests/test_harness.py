@@ -1,5 +1,6 @@
 """Tests for the experiment runner, aggregation, seeding, and the CLI."""
 
+import hashlib
 import json
 import math
 
@@ -227,6 +228,25 @@ def test_run_experiment_thread_count_does_not_change_decoded_results(tmp_path, s
         assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pooled" / name).read_bytes()
 
 
+def test_simulate_output_is_pinned_on_a_small_grid(tmp_path):
+    # simulate's output must not move unless a change means it to; digests
+    # taken with numpy 2.4 on x86-64.  The grid holds mixed pairs, three
+    # mixed-row fallbacks and enumeration-cap hits, in about a second
+    cfg = _mini_config(
+        k_values=(2, 5, 20), trials=4, master_seed=11, schemes=("stap1", "stap2", "stamp"),
+        kappa=3, pin_builtin_matrices=True, k_window=2, enumeration_cap=60,
+    )
+    run_experiment(cfg, out_dir=tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("results.csv", "trials.jsonl")
+    }
+    assert digests == {
+        "results.csv": "5de8f0761a230b853fe1126405615fa2157ff269b75b5c17b6963f6d3eafb31d",
+        "trials.jsonl": "077f442023c3e86fca55bd41c0be882f76ec1fbec734c8608ef1b499ae45ca86",
+    }
+
+
 def test_trial_records_are_self_consistent():
     cfg = _mini_config(schemes=("stap2",), trials=2, k_values=(3,))
     _, records = run_experiment(cfg)
@@ -300,11 +320,32 @@ def test_cli_simulate_seed_override(tmp_path):
     assert first != second
 
 
-def test_cli_simulate_bad_config_exits_2(tmp_path, capsys):
+_GOOD = _mini_config().to_dict()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"n": 961, "bogus": 1},
+        {**_GOOD, "k_window": -1},
+        {**_GOOD, "enumeration_cap": 0},
+        {**_GOOD, "kappa": 0},
+        {**_GOOD, "sigma_eps": 0.0},
+        {**_GOOD, "load_lo": 1000.0, "load_hi": 1000.0},
+        {**_GOOD, "trials": 2.5},
+        {**_GOOD, "n": 620, "s": 20},
+    ],
+    ids=[
+        "unknown_key", "k_window", "enumeration_cap", "kappa", "sigma_eps", "load_box",
+        "trials", "stap_width",
+    ],
+)
+def test_cli_simulate_bad_config_exits_2(tmp_path, capsys, raw):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"n": 961, "bogus": 1}))
+    path.write_text(json.dumps(raw))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "bad config" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_simulate_missing_file_exits_3(tmp_path, capsys):

@@ -6,16 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poolscreen.model import (
-    BelowDetection,
     NoiseModel,
-    PointLoad,
-    QpcrParams,
     Signal,
     UniformLoad,
     apply_noise_vec,
-    cycle_to_measurement,
     generate_signal_fixed_k,
-    measurement_to_cycle,
     _irwin_hall_pdf,
 )
 
@@ -139,59 +134,9 @@ def test_sum_density_normal_regime_matches_moments():
     assert got == pytest.approx(1.0 / math.sqrt(2 * math.pi * var), rel=1e-12)
 
 
-def test_point_load_samples_constant():
-    law = PointLoad(3.5)
-    assert np.all(law.sample(np.random.default_rng(0), 5) == 3.5)
-    assert law.is_atomic and law.lo == law.hi == 3.5
-
-
 def test_load_law_validation():
     with pytest.raises(ValueError):
         UniformLoad(5.0, 2.0)
     with pytest.raises(ValueError):
         UniformLoad(0.0, 10.0)
-    with pytest.raises(ValueError):
-        PointLoad(0.0)
 
-
-# ---------------------------------------------------------------- cycles
-
-
-def test_cycle_to_measurement_exact_power():
-    params = QpcrParams(b=2.0, d_min=1024.0, c_max=50)
-    assert cycle_to_measurement(10.0, params) == pytest.approx(1.0, rel=1e-15)
-
-
-def test_cycle_round_trip():
-    params = QpcrParams()
-    # only quantities below d_min have a positive cycle count
-    for z in (1e-6, 0.37, 0.93):
-        c = measurement_to_cycle(z, params)
-        assert cycle_to_measurement(c, params) == pytest.approx(z, rel=1e-12)
-
-
-def test_cycle_below_detection_and_validation():
-    params = QpcrParams(c_max=40)
-    with pytest.raises(BelowDetection):
-        cycle_to_measurement(40.5, params)
-    with pytest.raises(ValueError):
-        cycle_to_measurement(0.0, params)
-    with pytest.raises(ValueError):
-        measurement_to_cycle(0.0, params)
-
-
-def test_qpcr_induced_noise_scale():
-    params = QpcrParams(b=1.95, sigma_delta=0.1)
-    noise = params.noise_model()
-    assert noise.sigma_eps == pytest.approx(0.1 * math.log(1.95), rel=1e-15)
-    # the package default noise scale is exactly this reaction's
-    assert NoiseModel().sigma_eps == pytest.approx(noise.sigma_eps, rel=1e-15)
-
-
-def test_qpcr_params_validation():
-    with pytest.raises(ValueError):
-        QpcrParams(b=1.0)
-    with pytest.raises(ValueError):
-        QpcrParams(d_min=0.0)
-    with pytest.raises(ValueError):
-        QpcrParams(sigma_delta=-0.1)

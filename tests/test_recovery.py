@@ -17,22 +17,20 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
 from poolscreen.matrices import builtin_matrix
-from poolscreen.model import NoiseModel, PointLoad, UniformLoad
+from poolscreen import recovery
+from poolscreen.model import NoiseModel, UniformLoad
 from poolscreen.recovery import (
     BudgetExceeded,
     DecoderConfig,
-    OptimizerSettings,
     PoolInstance,
     ReducedInstance,
     comp,
     count_log_posterior,
     estimate_pool_count,
     estimate_prevalence,
-    log_posterior_gradient,
     map_list_decode,
     map_list_decode_mixed,
     _optimize_loads,
-    score_subset,
     sum_measurement_logpdf,
 )
 
@@ -215,11 +213,6 @@ def test_count_posterior_matches_oracle_curve():
     assert np.allclose(got[finite], want[finite], rtol=1e-5, atol=1e-6)
 
 
-def test_count_estimate_point_mass_noiseless_limit():
-    quiet = NoiseModel(sigma_eps=1e-9)
-    assert estimate_pool_count(30.0, 31, 0.01, quiet, PointLoad(10.0)) == 3
-
-
 def test_count_estimate_rejects_nonpositive_reading():
     with pytest.raises(ValueError):
         estimate_pool_count(0.0, 31, 0.01, NOISE, LAW)
@@ -255,9 +248,6 @@ def _scalar_count_log_posterior(z1, s, p, noise, law):
         return np.exp(-0.5 * (y - mean) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
 
     def log_like(k):
-        if law.is_atomic:
-            y = k * law.value
-            return float(noise.logpdf(z1 / y)) - math.log(y)
         x, w = GH_NODES
         u = noise.mu_eps + math.sqrt(2.0) * noise.sigma_eps * x
         fy = sum_density(k, z1 * np.exp(-u))
@@ -272,8 +262,7 @@ def _scalar_count_log_posterior(z1, s, p, noise, law):
     return log_prior + np.array([log_like(int(k)) for k in ks])
 
 
-@pytest.mark.parametrize("law", [UniformLoad(), PointLoad(10.0)], ids=["uniform", "point"])
-def test_count_posterior_equals_per_count_reference(law):
+def test_count_posterior_equals_per_count_reference():
     # same arithmetic in the same order, so equal to the last bit; readings
     # span the whole range and sit on the kinks of the sum density
     lo, hi = LAW.lo, LAW.hi
@@ -281,8 +270,8 @@ def test_count_posterior_equals_per_count_reference(law):
     for p in (1e-3, 0.05, 0.125, 0.3):
         for s in (1, 12, 13, 31):
             for z in zs.tolist():
-                want = _scalar_count_log_posterior(z, s, p, NOISE, law)
-                got = count_log_posterior(z, s, p, NOISE, law)
+                want = _scalar_count_log_posterior(z, s, p, NOISE, LAW)
+                got = count_log_posterior(z, s, p, NOISE, LAW)
                 assert np.array_equal(got, want), (z, s, p)
 
 
@@ -314,61 +303,25 @@ def _single_row_reduced(z):
 
 def test_score_single_column_matches_grid_search():
     z, p = 5.0, 0.01
-    cs = score_subset(_single_row_reduced(z), (0,), p, NOISE, LAW)
+    cfg = DecoderConfig(alpha=1.0, k_window=0)
+    res = map_list_decode(_single_row_reduced(z), 1, cfg, p, NOISE, LAW)
     grid = np.arange(1.0, 1000.0 + 0.0005, 0.001)
     vals = NOISE.logpdf(z / grid)
     best = int(np.argmax(vals))
     log_prior = math.log(p) - math.log(999.0)
-    assert cs.argmax_loads[0] == pytest.approx(grid[best], abs=0.001)
-    assert cs.log_score == pytest.approx(vals[best] + log_prior, abs=1e-5)
-    assert cs.converged
+    assert res.best.subset == (0,)
+    assert res.best.log_score == pytest.approx(vals[best] + log_prior, abs=1e-5)
+    assert res.best.converged
 
 
 def test_score_zero_when_row_uncovered():
+    # neither column alone pools both positive readings, so no size-1
+    # candidate is scored and nothing explains the readings
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
     red = comp(PoolInstance(a, np.array([4.0, 7.0])))
-    cs = score_subset(red, (0,), 0.1, NOISE, LAW)
-    assert cs.score == 0.0 and cs.log_score == -math.inf
-
-
-def test_score_concentrates_on_true_support_noiseless():
-    mat = builtin_matrix(6, 31).entries
-    x = np.zeros(31)
-    x[[4, 17]] = [300.0, 88.0]
-    red = comp(_exact_instance(mat, x))
-    loc = {int(c): i for i, c in enumerate(red.survivors)}
-    truth = (loc[4], loc[17])
-    best = score_subset(red, truth, 0.05, QUIET, LAW)
-    assert np.allclose(best.argmax_loads, [300.0, 88.0], rtol=1e-3)
-    others = [
-        score_subset(red, (i, j), 0.05, QUIET, LAW).log_score
-        for i in range(red.s_star)
-        for j in range(i + 1, red.s_star)
-        if (i, j) != truth
-    ]
-    assert best.log_score > max(others)
-
-
-def test_score_multistart_runs_agree():
-    rng = np.random.default_rng(11)
-    mat = builtin_matrix(7, 31).entries
-    x = np.zeros(31)
-    sup = [2, 9, 25]
-    x[sup] = rng.uniform(1.0, 1000.0, size=3)
-    red = comp(_instance(mat, x, NOISE, rng))
-    loc = {int(c): i for i, c in enumerate(red.survivors)}
-    subset = tuple(loc[c] for c in sup)
-    a = score_subset(red, subset, 0.05, NOISE, LAW, rng=np.random.default_rng(100))
-    b = score_subset(red, subset, 0.05, NOISE, LAW, rng=np.random.default_rng(2000))
-    assert a.log_score == pytest.approx(b.log_score, abs=1e-6)
-
-
-def test_score_subset_validates_indices():
-    red = _single_row_reduced(5.0)
-    with pytest.raises(ValueError):
-        score_subset(red, (0, 0), 0.1, NOISE, LAW)
-    with pytest.raises(ValueError):
-        score_subset(red, (3,), 0.1, NOISE, LAW)
+    res = map_list_decode(red, 1, DecoderConfig(k_window=0), 0.1, NOISE, LAW)
+    assert res.scored_count == 0
+    assert res.best is None and res.estimate == ()
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +335,19 @@ def _phi_on_grid(a, v, sig2, axes):
     return (u - (v - u) ** 2 / (2.0 * sig2)).sum(axis=1), mesh
 
 
+def log_posterior_gradient(red, subset, loads, noise):
+    """Gradient of the load log-objective at loads > 0 for one subset.
+
+    The reference the optimizer's KKT checks use; every positive reading
+    must pool at least one subset column.
+    """
+    a = red.sub_matrix[:, np.asarray(subset, dtype=np.intp)]
+    y = a @ loads
+    v = np.log(red.sub_measurements) - noise.mu_eps
+    u = np.log(y)
+    return a.T @ ((1.0 + (v - u) / noise.sigma_eps**2) / y)
+
+
 def _kkt_residual(red, subset, loads):
     """Largest move of a projected gradient step; zero exactly at a KKT point."""
     g = log_posterior_gradient(red, subset, loads, NOISE)
@@ -392,10 +358,45 @@ def _optimize_subset(red, subset, seed=0):
     a = red.sub_matrix[:, list(subset)]
     v = np.log(red.sub_measurements) - NOISE.mu_eps
     G, X, conv = _optimize_loads(
-        a[None], v, NOISE.sigma_eps**2, LAW.lo, LAW.hi, OptimizerSettings(),
-        np.random.default_rng(seed),
+        a[None], v, NOISE.sigma_eps**2, LAW.lo, LAW.hi, np.random.default_rng(seed)
     )
     return float(G[0]), X[0], bool(conv[0]), a, v
+
+
+def test_score_concentrates_on_true_support_noiseless():
+    mat = builtin_matrix(6, 31).entries
+    x = np.zeros(31)
+    x[[4, 17]] = [300.0, 88.0]
+    red = comp(_exact_instance(mat, x))
+    loc = {int(c): i for i, c in enumerate(red.survivors)}
+    # every pair that pools each positive reading, the true one among them;
+    # pairs share their prior terms, so the load objective ranks them
+    pairs = [
+        pair for pair in itertools.combinations(range(red.s_star), 2)
+        if red.sub_matrix[:, list(pair)].any(axis=1).all()
+    ]
+    a = np.stack([red.sub_matrix[:, list(pair)] for pair in pairs])
+    v = np.log(red.sub_measurements) - QUIET.mu_eps
+    G, X, _ = _optimize_loads(
+        a, v, QUIET.sigma_eps**2, LAW.lo, LAW.hi, np.random.default_rng(0)
+    )
+    top = pairs.index((loc[4], loc[17]))
+    assert np.allclose(X[top], [300.0, 88.0], rtol=1e-3)
+    assert G[top] > np.delete(G, top).max()
+
+
+def test_score_multistart_runs_agree():
+    rng = np.random.default_rng(11)
+    mat = builtin_matrix(7, 31).entries
+    x = np.zeros(31)
+    sup = [2, 9, 25]
+    x[sup] = rng.uniform(1.0, 1000.0, size=3)
+    red = comp(_instance(mat, x, NOISE, rng))
+    loc = {int(c): i for i, c in enumerate(red.survivors)}
+    subset = tuple(loc[c] for c in sup)
+    a = _optimize_subset(red, subset, seed=100)[0]
+    b = _optimize_subset(red, subset, seed=2000)[0]
+    assert a == pytest.approx(b, abs=1e-6)
 
 
 @pytest.mark.parametrize("z", [[40.0, 55.0, 47.0, 61.0], [1500.0, 1400.0, 1700.0], [0.3, 0.5]])
@@ -472,8 +473,6 @@ def test_optimizer_kkt_on_a_bound():
 
 
 def test_optimizer_blocks_do_not_change_results(monkeypatch):
-    from poolscreen import recovery
-
     red, _ = _shipped_instance(7, 3, 5)
     covering = [
         sub for sub in itertools.combinations(range(red.s_star), 3)
@@ -483,8 +482,7 @@ def test_optimizer_blocks_do_not_change_results(monkeypatch):
     v = np.log(red.sub_measurements) - NOISE.mu_eps
 
     def run():
-        return _optimize_loads(a, v, NOISE.sigma_eps**2, LAW.lo, LAW.hi, OptimizerSettings(),
-                               np.random.default_rng(4))
+        return _optimize_loads(a, v, NOISE.sigma_eps**2, LAW.lo, LAW.hi, np.random.default_rng(4))
 
     whole = run()
     monkeypatch.setattr(recovery, "_NEWTON_BLOCK", 2)
@@ -497,11 +495,10 @@ def test_optimizer_consumes_exactly_the_start_draw(k):
     red, subset = _shipped_instance(7, k, 3)
     a = np.repeat(red.sub_matrix[:, list(subset)][None], 4, axis=0)  # N = 4 candidates
     v = np.log(red.sub_measurements) - NOISE.mu_eps
-    opt = OptimizerSettings()
     rng = np.random.default_rng(21)
-    _optimize_loads(a, v, NOISE.sigma_eps**2, LAW.lo, LAW.hi, opt, rng)
+    _optimize_loads(a, v, NOISE.sigma_eps**2, LAW.lo, LAW.hi, rng)
     ref = np.random.default_rng(21)
-    ref.uniform(LAW.lo, LAW.hi, size=(4, opt.starts - 1, k))
+    ref.uniform(LAW.lo, LAW.hi, size=(4, recovery._STARTS - 1, k))
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -620,13 +617,10 @@ def test_decode_is_deterministic():
     x = np.zeros(31)
     x[rng.choice(31, size=3, replace=False)] = rng.uniform(1.0, 1000.0, size=3)
     red = comp(_instance(mat, x, NOISE, rng))
-    cfg = DecoderConfig(alpha=0.9, keep_candidates=True)
+    cfg = DecoderConfig(alpha=0.9)
     a = map_list_decode(red, 3, cfg, 0.05, NOISE, LAW)
     b = map_list_decode(red, 3, cfg, 0.05, NOISE, LAW)
-    assert a.estimate == b.estimate
-    assert a.best.subset == b.best.subset
-    assert a.best.log_score == b.best.log_score
-    assert [c.subset for c in a.candidates] == [c.subset for c in b.candidates]
+    assert a == b
 
 
 def test_decode_validates_k_hat_and_empty_reduction():
@@ -707,7 +701,7 @@ def test_mixed_decode_validates_half_counts():
 def test_gradient_vanishes_at_unconstrained_optimum():
     red = _single_row_reduced(5.0)
     x_star = 5.0 * math.exp(NOISE.sigma_eps**2 - NOISE.mu_eps)
-    g = log_posterior_gradient(red, (0,), np.array([x_star]), NOISE, law=LAW)
+    g = log_posterior_gradient(red, (0,), np.array([x_star]), NOISE)
     assert abs(g[0]) < 1e-8
 
 
@@ -766,23 +760,6 @@ def test_gradient_quadratic_part_scales_with_sigma():
     assert np.allclose(g2 - linear, (g1 - linear) / 4.0, rtol=1e-10)
 
 
-def test_gradient_rejects_boundary_and_uncovered_rows():
-    red = _single_row_reduced(5.0)
-    with pytest.raises(ValueError):
-        log_posterior_gradient(red, (0,), np.array([1.0]), NOISE, law=LAW)
-    a = np.array([[1.0, 0.0], [0.0, 0.0]])
-    bad = ReducedInstance(
-        survivors=np.arange(2),
-        active_rows=np.arange(2),
-        sub_matrix=a,
-        sub_measurements=np.array([5.0, 3.0]),
-        m_star=2,
-        s_star=2,
-    )
-    with pytest.raises(ValueError):
-        log_posterior_gradient(bad, np.arange(2), np.array([5.0, 5.0]), NOISE)
-
-
 # ---------------------------------------------------------------------------
 # configuration validation
 
@@ -794,10 +771,5 @@ def test_decoder_config_validation():
         DecoderConfig(alpha=1.5)
     with pytest.raises(ValueError):
         DecoderConfig(enumeration_cap=0)
-
-
-def test_optimizer_settings_validation():
     with pytest.raises(ValueError):
-        OptimizerSettings(starts=0)
-    with pytest.raises(ValueError):
-        OptimizerSettings(rel_tol=0.0)
+        DecoderConfig(k_window=-1)

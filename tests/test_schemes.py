@@ -1,6 +1,5 @@
 """Tests for the five end-to-end testing protocols and their accounting."""
 
-import dataclasses
 import logging
 import math
 
@@ -9,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poolscreen.harness import _comp_violations
+from poolscreen.harness import _comp_violations, derive_trial_seed
 from poolscreen.matrices import BUILTIN_PROFILES, builtin_matrix
 from poolscreen.model import NoiseModel, Signal, UniformLoad, generate_signal_fixed_k
-from poolscreen import schemes
-from poolscreen.recovery import DecoderConfig, OptimizerSettings, estimate_prevalence
+from poolscreen import recovery, schemes
+from poolscreen.recovery import DecoderConfig, estimate_prevalence
 from poolscreen.schemes import (
     PartDiagnostic,
     SchemeConfig,
@@ -60,25 +59,11 @@ def test_config_requires_width_31_for_coded_schemes():
     SchemeConfig(scheme="dorfman", q=10, s=20)  # plain retesting takes any width
 
 
-def test_config_rejects_bad_tables():
-    with pytest.raises(ValueError, match="without gaps"):
-        _cfg("stap2", stage2_rows_by_khat={1: 5, 3: 7})
+def test_config_rejects_bad_values():
     with pytest.raises(ValueError, match="kappa"):
         _cfg("stamp", kappa=0)
-    with pytest.raises(ValueError, match="positive"):
-        _cfg("stap1", stage2_rows_fixed=0)
-    with pytest.raises(ValueError, match="positive"):
-        _cfg("stap2", stage2_rows_by_khat={1: 5, 2: 0})
     with pytest.raises(ValueError):
         SchemeConfig(scheme="dorfman", q=0, s=31)
-
-
-def test_config_normalizes_mixed_pair_keys():
-    cfg = _cfg("stamp", mixed_rows_by_pair={(1, 2): 10, (1, 1): 9})
-    assert cfg.rows_for_pair(2, 1) == 10
-    assert cfg.rows_for_pair(1, 2) == 10
-    assert cfg.rows_for_pair(1, 1) == 9
-    assert cfg.rows_for_pair(2, 2) is None
 
 
 def test_row_count_dispatch_whole_table():
@@ -114,7 +99,7 @@ def test_builtin_profile_totals():
 
 def test_mixed_budget_never_exceeds_separate_decoding():
     cfg = _cfg("stamp")
-    for (ka, kb), rows in cfg.mixed_rows_by_pair.items():
+    for (ka, kb), rows in schemes.MIXED_ROWS_BY_PAIR.items():
         assert rows <= cfg.rows_for_count(ka) + cfg.rows_for_count(kb)
 
 
@@ -335,18 +320,29 @@ def test_stamp_pairs_sparse_pools():
 
 
 def test_stamp_unconfigured_pair_falls_back(caplog):
-    cfg = _cfg("stamp", mixed_rows_by_pair={(1, 1): 9})
+    # kappa 3 lets a pool with count estimate 3 join a pair, and no mixed
+    # row count covers such a pair; the trials of simulate's stamp k=20 cell
+    # at master seed 11 with pinned designs meet three of them.  The count
+    # estimates, and so the parts, do not depend on the decoder's settings;
+    # a small enumeration cap keeps the 20-positive trials fast
+    capped = DecoderConfig(k_window=2, enumeration_cap=60)
+    cfg = _cfg("stamp", kappa=3, pin_builtin_matrices=True, decoder=capped)
+    pairs = []
     with caplog.at_level(logging.WARNING, logger="poolscreen.schemes"):
-        out = run_scheme(_two_pool_signal(), cfg, NOISE, np.random.default_rng(2))
-    assert any("decoding pools" in rec.message for rec in caplog.records)
-    assert len(out.diagnostics) == 2
-    assert all(d.fallback for d in out.diagnostics)
-    assert {d.pools for d in out.diagnostics} == {(0,), (5,)}
-    rows = {d.pools: d.stage2_rows for d in out.diagnostics}
-    assert rows[(0,)] == 6  # count estimate 2 under the solo table
-    assert rows[(5,)] == 5
-    assert out.measurements_total == 31 + 11
-    assert out.estimated_support == (0, 1, 155)
+        for trial in range(4):
+            rng = np.random.default_rng(derive_trial_seed(11, "stamp", 20, 0.9, trial))
+            signal = generate_signal_fixed_k(961, 20, LAW, rng)
+            out = run_scheme(signal, cfg, NOISE, rng)
+            fallback = [d for d in out.diagnostics if d.fallback]
+            # a pair's two pools are decoded back to back, each under the solo table
+            pairs += [a.k_hats + b.k_hats for a, b in zip(fallback[::2], fallback[1::2])]
+            for diag in fallback:
+                assert len(diag.pools) == 1
+                assert diag.stage2_rows == cfg.rows_for_count(diag.k_hats[0])
+            assert out.measurements_total == cfg.q + sum(d.stage2_rows for d in out.diagnostics)
+    assert sorted(pairs) == [(3, 2), (3, 2), (3, 3)]
+    assert all(cfg.rows_for_pair(*pair) is None for pair in pairs)
+    assert sum("decoding pools" in rec.message for rec in caplog.records) == 3
 
 
 def test_stamp_single_pool_uses_solo_table():
@@ -470,15 +466,13 @@ def test_no_survivors_decodes_to_nothing():
     assert meter.count == 6
 
 
-def test_diagnostic_reports_optimizer_convergence():
+def test_diagnostic_reports_optimizer_convergence(monkeypatch):
     values = np.zeros(961)
     values[[0, 1]] = [600.0, 900.0]  # one pool, count estimate 2
     signal = Signal(values)
-    capped = dataclasses.replace(
-        DecoderConfig(), optimizer=OptimizerSettings(iters=1)
-    )
     out = run_scheme(signal, _cfg("stap2"), NOISE, np.random.default_rng(2))
     assert [d.converged for d in out.diagnostics] == [True]
     assert not out.diagnostics[0].no_survivors
-    out = run_scheme(signal, _cfg("stap2", decoder=capped), NOISE, np.random.default_rng(2))
+    monkeypatch.setattr(recovery, "_NEWTON_ITERS", 1)
+    out = run_scheme(signal, _cfg("stap2"), NOISE, np.random.default_rng(2))
     assert [d.converged for d in out.diagnostics] == [False]
