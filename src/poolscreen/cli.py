@@ -189,6 +189,13 @@ def _read_measurements(path: str, expected: int) -> np.ndarray:
         values = np.array([float(tok) for tok in tokens])
     except ValueError as err:
         raise _CliError(f"non-numeric reading in {path}: {err}", EXIT_CONFIG) from err
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        # nan would pass every later check and decode to nothing
+        raise _CliError(
+            f"reading {bad[0] + 1} in {path} is {tokens[bad[0]]}, not a finite number",
+            EXIT_CONFIG,
+        )
     if values.shape[0] != expected:
         raise _CliError(
             f"{path} holds {values.shape[0]} readings, matrix has {expected} rows",

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .model import NoiseModel, Signal, UniformLoad, generate_signal_fixed_k
@@ -57,12 +56,19 @@ class ExperimentConfig:
     pin_builtin_matrices: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
+        object.__setattr__(self, "k_values", tuple(self.k_values))
         object.__setattr__(self, "schemes", tuple(self.schemes))
         object.__setattr__(self, "alpha_values", tuple(float(a) for a in self.alpha_values))
+        names = ("n", "q", "s", "trials", "master_seed", "kappa", "k_window", "enumeration_cap")
+        ints = [(name, getattr(self, name)) for name in names]
+        ints += [(f"k_values[{i}]", k) for i, k in enumerate(self.k_values)]
+        for name, value in ints:
+            # bool is a subclass of int, so a JSON true would otherwise pass as 1
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.q * self.s != self.n:
             raise ValueError(f"q*s = {self.q * self.s} does not match n = {self.n}")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if self.trials < 1:
             raise ValueError("trials must be an integer >= 1")
         if not self.k_values:
             raise ValueError("k_values must be non-empty")
@@ -411,7 +417,6 @@ def write_outputs(cfg, reports, records, out_dir) -> None:
         "versions": {
             "poolscreen": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "comp_violations_total": sum(rec["comp_violations"] for rec in records),
     }

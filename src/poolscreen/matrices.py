@@ -1,16 +1,15 @@
-"""Binary sensing matrices: weight-profile ensembles, Kirkman designs, file I/O.
+"""Binary sensing matrices: weight-profile ensembles, Kirkman checks, file I/O.
 
 Stage-2 pooling matrices are sampled from fixed row/column weight profiles
 with distinct rows and columns.  Kirkman triple systems (resolvable designs
-whose columns are triples and whose classes partition the rows) are verified
-here and constructed for small orders.
+whose columns are triples and whose classes partition the rows) are only
+verified here; a design to check is read from a matrix file.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -23,25 +22,19 @@ __all__ = [
     "KirkmanParams",
     "MatrixConstructionError",
     "MatrixParseError",
-    "UnsupportedOrderError",
     "BUILTIN_PROFILES",
     "BUILTIN_BUILD_SEED",
     "builtin_matrix",
     "profile_sample",
     "verify_profile",
     "verify_kirkman",
-    "construct_kirkman",
     "load_matrix",
     "save_matrix",
 ]
 
 
 class MatrixConstructionError(RuntimeError):
-    """Sampling or search exhausted its attempt budget."""
-
-
-class UnsupportedOrderError(ValueError):
-    """Constructive search is only wired for small orders; load larger designs."""
+    """Sampling exhausted its attempt budget, or a shipped design is corrupt."""
 
 
 class MatrixParseError(ValueError):
@@ -392,107 +385,6 @@ def verify_kirkman(mat: SensingMatrix, params: KirkmanParams) -> tuple[bool, str
             f"columns {int(worst[0])} and {int(worst[1])} share {int(gram[worst])} rows"
         )
     return True, None
-
-
-def construct_kirkman(
-    params: KirkmanParams,
-    rng: np.random.Generator,
-    node_budget: int = 20_000,
-    restarts: int = 400,
-) -> SensingMatrix:
-    """Randomized backtracking construction for m in {3, 9, 15}.
-
-    Builds the classes one at a time, packing triples over unplaced points
-    and refusing any pair of points that already met.  The search backtracks
-    across class boundaries; when a node budget runs out it restarts with a
-    fresh shuffle.  Larger orders must be loaded from a file instead.
-    """
-    if params.m not in (3, 9, 15):
-        raise UnsupportedOrderError(
-            f"constructive search handles m in {{3, 9, 15}}; load an m={params.m} design"
-        )
-    m, c = params.m, params.c
-    for _ in range(restarts):
-        triples = _kirkman_search(m, c, rng, node_budget)
-        if triples is not None:
-            entries = np.zeros((m, len(triples)), dtype=np.uint8)
-            for j, tri in enumerate(triples):
-                entries[list(tri), j] = 1
-            mat = SensingMatrix(entries)
-            ok, report = verify_kirkman(mat, params)
-            if not ok:  # pragma: no cover - search enforces the properties
-                raise MatrixConstructionError(f"search produced an invalid design: {report}")
-            return mat
-    raise MatrixConstructionError(
-        f"no {m}-point system with {c} classes found within the search budget"
-    )
-
-
-def _kirkman_search(m: int, c: int, rng: np.random.Generator, node_budget: int):
-    pair_used = [[False] * m for _ in range(m)]
-    full_mask = (1 << m) - 1
-    columns: list[tuple[int, int, int]] = []
-    nodes = 0
-
-    # any system can be relabeled so its first class is consecutive triples;
-    # fixing that breaks most of the symmetry and tames the search
-    for j in range(0, m, 3):
-        columns.append((j, j + 1, j + 2))
-        for x, y in ((j, j + 1), (j, j + 2), (j + 1, j + 2)):
-            pair_used[x][y] = pair_used[y][x] = True
-
-    def extend(class_idx: int, unplaced: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise _Budget
-        if unplaced == 0:
-            if class_idx + 1 == c:
-                return True
-            return extend(class_idx + 1, full_mask)
-        # expand the point with the fewest completions; a point with none
-        # makes the whole branch hopeless, so bail out immediately
-        points = [p for p in range(m) if (unplaced >> p) & 1]
-        best_pairs: list[tuple[int, int]] | None = None
-        best_a = -1
-        for a in points:
-            partners = [b for b in points if b != a and not pair_used[a][b]]
-            pairs = [
-                (b, d)
-                for i, b in enumerate(partners)
-                for d in partners[i + 1 :]
-                if not pair_used[b][d]
-            ]
-            if not pairs:
-                return False
-            if best_pairs is None or len(pairs) < len(best_pairs):
-                best_pairs, best_a = pairs, a
-                if len(pairs) == 1:
-                    break
-        a = best_a
-        for i in rng.permutation(len(best_pairs)):
-            b, d = best_pairs[i]
-            lo, mid, hi = sorted((a, b, d))
-            for x, y in ((lo, mid), (lo, hi), (mid, hi)):
-                pair_used[x][y] = pair_used[y][x] = True
-            columns.append((lo, mid, hi))
-            if extend(class_idx, unplaced & ~((1 << a) | (1 << b) | (1 << d))):
-                return True
-            columns.pop()
-            for x, y in ((lo, mid), (lo, hi), (mid, hi)):
-                pair_used[x][y] = pair_used[y][x] = False
-        return False
-
-    try:
-        if c == 1 or extend(1, full_mask):
-            return list(columns)
-    except _Budget:
-        pass
-    return None
-
-
-class _Budget(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------

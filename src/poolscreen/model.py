@@ -134,15 +134,6 @@ class NoiseModel:
         g = rng.standard_normal(size)
         return np.exp(self.mu_eps + self.sigma_eps * g)
 
-    def logpdf(self, eps) -> np.ndarray:
-        eps = np.asarray(eps, dtype=float)
-        le = np.log(eps)
-        return (
-            -le
-            - math.log(self.sigma_eps * math.sqrt(2.0 * math.pi))
-            - (le - self.mu_eps) ** 2 / (2.0 * self.sigma_eps**2)
-        )
-
 
 def apply_noise_vec(y: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
     """Noisy readings for pooled quantities y >= 0; zero stays exactly zero.

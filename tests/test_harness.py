@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,10 +338,20 @@ _GOOD = _mini_config().to_dict()
         {**_GOOD, "load_lo": 1000.0, "load_hi": 1000.0},
         {**_GOOD, "trials": 2.5},
         {**_GOOD, "n": 620, "s": 20},
+        {**_GOOD, "n": 961.0},
+        {**_GOOD, "q": 31.0},
+        {**_GOOD, "s": 31.0},
+        {**_GOOD, "k_values": [2.7]},
+        {**_GOOD, "trials": True},
+        {**_GOOD, "master_seed": 1.5},
+        {**_GOOD, "kappa": 1.5},
+        {**_GOOD, "k_window": 1.5},
+        {**_GOOD, "enumeration_cap": 10.5},
     ],
     ids=[
         "unknown_key", "k_window", "enumeration_cap", "kappa", "sigma_eps", "load_box",
-        "trials", "stap_width",
+        "trials", "stap_width", "n_float", "q_float", "s_float", "k_float", "trials_bool",
+        "master_seed_float", "kappa_float", "k_window_float", "enumeration_cap_float",
     ],
 )
 def test_cli_simulate_bad_config_exits_2(tmp_path, capsys, raw):
@@ -370,14 +384,37 @@ def test_cli_matrix_gen_unknown_profile(tmp_path, capsys):
     assert "no builtin profile" in capsys.readouterr().err
 
 
-def test_cli_matrix_verify_kirkman(tmp_path):
-    from poolscreen.matrices import KirkmanParams, construct_kirkman
-
-    mat = construct_kirkman(KirkmanParams(m=9, c=4), np.random.default_rng(0))
+def test_cli_matrix_verify_kirkman(tmp_path, kts9):
+    mat = kts9(4)
     path = tmp_path / "kirkman.txt"
     save_matrix(mat, path)
     assert main(["matrix", "verify", str(path), "--kirkman", "9,4"]) == 0
     assert main(["matrix", "verify", str(path), "--kirkman", "9,3"]) == 2
+
+
+def test_cli_runs_without_scipy(tmp_path, kts9):
+    # scipy is a test-only dependency: a None entry in sys.modules makes any
+    # import of it fail, so the run below fails if the package needs scipy
+    config = _write_config(tmp_path, schemes=("stap2",), trials=1, k_values=(3,))
+    design = tmp_path / "kirkman.txt"
+    save_matrix(kts9(4), design)
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from poolscreen.cli import main\n"
+        "config, out, design = sys.argv[1:]\n"
+        "assert main(['simulate', '--config', config, '--out', out]) == 0\n"
+        "assert main(['matrix', 'verify', design, '--kirkman', '9,4']) == 0\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(config), str(tmp_path / "run"), str(design)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "run" / "results.csv").exists()
 
 
 def test_cli_decode_round_trip(tmp_path, capsys):
@@ -413,6 +450,21 @@ def test_cli_decode_length_mismatch(tmp_path, capsys):
         main(["decode", "--matrix", str(matrix_path), "--measurements", str(meas_path)]) == 2
     )
     assert "matrix has 6 rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_cli_decode_rejects_non_finite_reading(tmp_path, capsys, token):
+    mat = builtin_matrix(5, 31)
+    matrix_path = tmp_path / "design.txt"
+    save_matrix(mat, matrix_path)
+    meas_path = tmp_path / "readings.txt"
+    meas_path.write_text(f"0\n120.5\n{token}\n0\n0\n")
+    assert (
+        main(["decode", "--matrix", str(matrix_path), "--measurements", str(meas_path)]) == 2
+    )
+    captured = capsys.readouterr()
+    assert f"reading 3 in {meas_path} is {token}" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_decode_all_zero_readings(tmp_path, capsys):

@@ -13,11 +13,9 @@ from poolscreen.matrices import (
     MatrixConstructionError,
     MatrixParseError,
     SensingMatrix,
-    UnsupportedOrderError,
     WeightProfile,
     _gale_ryser_feasible,
     builtin_matrix,
-    construct_kirkman,
     load_matrix,
     profile_sample,
     save_matrix,
@@ -209,20 +207,6 @@ def test_kirkman_params_validation():
         KirkmanParams(9, 0)
 
 
-@pytest.mark.parametrize("m,c", [(3, 1), (9, 1), (9, 4), (15, 2)])
-def test_construct_kirkman_passes_verification(m, c):
-    params = KirkmanParams(m, c)
-    mat = construct_kirkman(params, np.random.default_rng(11))
-    assert (mat.m, mat.n) == (m, (m // 3) * c)
-    ok, report = verify_kirkman(mat, params)
-    assert ok, report
-
-
-def test_construct_kirkman_unsupported_order():
-    with pytest.raises(UnsupportedOrderError):
-        construct_kirkman(KirkmanParams(21, 1), np.random.default_rng(0))
-
-
 def test_verify_kirkman_pair_violation():
     # both classes partition the rows, but two columns meet in two rows
     cols = [(0, 1, 2), (3, 4, 5), (0, 1, 3), (2, 4, 5)]
@@ -242,15 +226,16 @@ def test_verify_kirkman_block_violation():
     assert not ok and "class 0" in report
 
 
-def test_verify_kirkman_shape_mismatch():
-    mat = construct_kirkman(KirkmanParams(9, 2), np.random.default_rng(0))
+def test_verify_kirkman_shape_mismatch(kts9):
+    mat = kts9(2)
     ok, report = verify_kirkman(mat, KirkmanParams(9, 3))
     assert not ok and "expected" in report
 
 
-def test_kirkman_single_bit_flips_always_detected():
+def test_kirkman_single_bit_flips_always_detected(kts9):
     params = KirkmanParams(9, 4)
-    mat = construct_kirkman(params, np.random.default_rng(5))
+    mat = kts9(4)
+    assert verify_kirkman(mat, params)[0]
     rng = np.random.default_rng(6)
     for _ in range(200):
         i = int(rng.integers(mat.m))
@@ -259,16 +244,6 @@ def test_kirkman_single_bit_flips_always_detected():
         tampered[i, j] ^= 1
         ok, _ = verify_kirkman(SensingMatrix(tampered), params)
         assert not ok
-
-
-EXTERNAL_DESIGN = Path(__file__).parent / "data" / "kirkman_93x961.txt"
-
-
-@pytest.mark.skipif(not EXTERNAL_DESIGN.exists(), reason="external 93x961 design file not present")
-def test_external_large_kirkman_design():
-    mat = load_matrix(EXTERNAL_DESIGN)
-    ok, report = verify_kirkman(mat, KirkmanParams(93, 31))
-    assert ok, report
 
 
 # ------------------------------------------------------------- file format

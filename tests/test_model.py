@@ -90,13 +90,6 @@ def test_noise_model_validation():
         NoiseModel(sigma_eps=0.0)
 
 
-def test_noise_logpdf_matches_lognormal_formula():
-    noise = NoiseModel(sigma_eps=0.3, mu_eps=0.1)
-    e = 1.7
-    expected = -math.log(e * 0.3 * math.sqrt(2 * math.pi)) - (math.log(e) - 0.1) ** 2 / (2 * 0.3**2)
-    assert noise.logpdf(e) == pytest.approx(expected, rel=1e-12)
-
-
 # ---------------------------------------------------------------- load laws
 
 

@@ -36,6 +36,8 @@ from poolscreen.recovery import (
 
 LAW = UniformLoad()
 NOISE = NoiseModel()
+# the noise factor's density, from scipy rather than the package
+EPS = stats.lognorm(s=NOISE.sigma_eps, scale=math.exp(NOISE.mu_eps))
 
 
 def _instance(matrix, x, noise, rng, stage1=True):
@@ -306,7 +308,7 @@ def test_score_single_column_matches_grid_search():
     cfg = DecoderConfig(alpha=1.0, k_window=0)
     res = map_list_decode(_single_row_reduced(z), 1, cfg, p, NOISE, LAW)
     grid = np.arange(1.0, 1000.0 + 0.0005, 0.001)
-    vals = NOISE.logpdf(z / grid)
+    vals = EPS.logpdf(z / grid)
     best = int(np.argmax(vals))
     log_prior = math.log(p) - math.log(999.0)
     assert res.best.subset == (0,)
@@ -728,7 +730,7 @@ def test_gradient_matches_finite_differences():
 
         def objective(v):
             y = a @ v
-            return float(np.sum(NOISE.logpdf(z / y)))
+            return float(np.sum(EPS.logpdf(z / y)))
 
         g = log_posterior_gradient(red, np.arange(k), loads, NOISE)
         for j in range(k):
