@@ -26,14 +26,15 @@ MEASUREMENT_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class UniformLoad:
-    """Loads drawn uniformly from [lo, hi], 0 < lo < hi."""
+    """Loads drawn uniformly from [lo, hi], 0 < lo < hi < inf."""
 
     lo: float = 1.0
     hi: float = 1000.0
 
     def __post_init__(self):
-        if not (0.0 < self.lo < self.hi):
-            raise ValueError(f"need 0 < lo < hi, got [{self.lo}, {self.hi}]")
+        # a nan bound fails the comparison; an infinite hi would not
+        if not (0.0 < self.lo < self.hi < math.inf):
+            raise ValueError(f"need finite 0 < lo < hi, got [{self.lo}, {self.hi}]")
 
     @property
     def log_density_inside(self) -> float:
@@ -127,8 +128,9 @@ class NoiseModel:
     mu_eps: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_eps <= 0:
-            raise ValueError("sigma_eps must be positive")
+        # nan would fail no sign test and turn every reading into nan
+        if not 0.0 < self.sigma_eps < math.inf:
+            raise ValueError(f"sigma_eps must be finite and positive, got {self.sigma_eps}")
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         g = rng.standard_normal(size)

@@ -48,10 +48,6 @@ class PoolInstance:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "measurements", meas)
 
-    @property
-    def s(self) -> int:
-        return self.matrix.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class ReducedInstance:
@@ -108,13 +104,12 @@ def estimate_prevalence(t: int, q: int, s: int) -> float:
     return 1.0 - (1.0 - t / q) ** (1.0 / s)
 
 
-@lru_cache(maxsize=8)
-def _gh_nodes(points: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.hermite.hermgauss(points)
+# Gauss-Hermite nodes and weights for integrating out the log-normal noise
+_GH_X, _GH_W = np.polynomial.hermite.hermgauss(64)
 
 
 def sum_measurement_logpdf(
-    z: float, k: int | np.ndarray, law: UniformLoad, noise: NoiseModel, gh_points: int = 64
+    z: float, k: int | np.ndarray, law: UniformLoad, noise: NoiseModel
 ) -> float | np.ndarray:
     """Log density at z > 0 of (sum of k iid loads) times the noise factor.
 
@@ -127,11 +122,10 @@ def sum_measurement_logpdf(
     ks = np.asarray(k)
     if np.any(ks < 1):
         raise ValueError("k must be >= 1")
-    x, w = _gh_nodes(gh_points)
-    u = noise.mu_eps + math.sqrt(2.0) * noise.sigma_eps * x
+    u = noise.mu_eps + math.sqrt(2.0) * noise.sigma_eps * _GH_X
     shrink = np.exp(-u)
     fy = law.sum_density(ks.ravel(), z * shrink)
-    vals = (w * fy * shrink).sum(axis=1) / _SQRT_PI
+    vals = (_GH_W * fy * shrink).sum(axis=1) / _SQRT_PI
     logs = np.array([math.log(v) if v > 0.0 else -math.inf for v in vals.tolist()])
     return float(logs[0]) if ks.ndim == 0 else logs.reshape(ks.shape)
 
@@ -272,14 +266,19 @@ class _Scorer:
         self.log_hi = math.log(self.hi)
         self.priors = {k: _prior_part(k, reduced.s_star, p, law) for k in range(0, reduced.s_star + 1)}
 
-    def coverage(self, subsets: np.ndarray) -> np.ndarray:
-        """True where every positive reading pools at least one subset column."""
-        hit = self.reduced.sub_matrix[:, subsets] > 0  # (m*, N, k)
-        return hit.any(axis=2).all(axis=0)
-
     def row_counts(self, subsets: np.ndarray) -> np.ndarray:
-        """How many subset columns each positive reading pools: (N, m*)."""
-        return self.reduced.sub_matrix[:, subsets].sum(axis=2).T
+        """How many subset columns each positive reading pools: (N, m*).
+
+        Summed one column gather at a time; the counts are small integers,
+        so the order of the sum does not matter.  The result is the
+        transpose of an (m*, N) gather and so C-contiguous, the layout that
+        fixes the summation order of upper_bound's row sums.
+        """
+        M = self.reduced.sub_matrix
+        cnt = M[:, subsets[:, 0]]
+        for j in range(1, subsets.shape[1]):
+            cnt += M[:, subsets[:, j]]
+        return cnt.T
 
     def upper_bound(self, subsets: np.ndarray, cnt: np.ndarray) -> np.ndarray:
         """Bound on log f: each row's term maximized independently.
@@ -313,40 +312,57 @@ def _load_objective(A, X, v, sig2):
     return (u - r * r / (2.0 * sig2)).sum(axis=1), y
 
 
-def _newton_direction(H, g, X, lo, hi):
+_TINY = np.finfo(float).tiny
+
+
+def _newton_direction(H, g, X, lo, hi, eye):
     """Projected Newton ascent direction for a batch of box-constrained problems.
 
-    H is the negative Hessian (P, k, k) and g the gradient (P, k) at X.  A
-    coordinate on a bound whose gradient points out of the box is frozen: its
-    step is zero and it is dropped from the Newton system.  The free block of
-    H can be indefinite once a row's residual v - u falls below -(1 + sig2);
-    it is then shifted by its smallest eigenvalue until positive definite.
-    A free coordinate on a bound that the step would push out of the box is
-    frozen too, and the system solved again without it.
+    H is the negative Hessian (P, k, k) and g the gradient (P, k) at X; eye
+    is np.eye(k).  A coordinate on a bound whose gradient points out of the
+    box is frozen: its step is zero and it is dropped from the Newton system.
+    The free block of H can be indefinite once a row's residual v - u falls
+    below -(1 + sig2); it is then shifted by its smallest eigenvalue until
+    positive definite.  A free coordinate on a bound that the step would push
+    out of the box is frozen too, and the system solved again without it.
+
+    When no start in the batch has a coordinate on a bound, nothing can be
+    frozen, so H and g go to the solver unmasked; when every block is
+    positive definite, no shift is added.  Either way each start's
+    arithmetic is the same as with the masks and a zero shift.
     """
-    k = g.shape[1]
-    free = ~(((X <= lo) & (g < 0)) | ((X >= hi) & (g > 0)))
-    eye = np.eye(k)
+    at_lo, at_hi = X <= lo, X >= hi
     mag = np.abs(H).max(axis=(1, 2))
-    # frozen coordinates get a diagonal above every free eigenvalue (Gershgorin),
-    # so the smallest eigenvalue below is the free block's
-    frozen_diag = (k * mag + 1.0)[:, None, None] * eye
+    bounded = at_lo.any() or at_hi.any()
+    if bounded:
+        k = g.shape[1]
+        free = ~((at_lo & (g < 0)) | (at_hi & (g > 0)))
+        # frozen coordinates get a diagonal above every free eigenvalue
+        # (Gershgorin), so the smallest eigenvalue below is the free block's
+        frozen_diag = (k * mag + 1.0)[:, None, None] * eye
 
-    def masked(free):
-        pair = free[:, :, None] & free[:, None, :]
-        return np.where(pair, H, frozen_diag), np.where(free, g, 0.0)
+        def masked(free):
+            pair = free[:, :, None] & free[:, None, :]
+            return np.where(pair, H, frozen_diag), np.where(free, g, 0.0)
 
-    Hf, gf = masked(free)
+        Hf, gf = masked(free)
+    else:
+        Hf, gf = H, g
     lam = np.linalg.eigvalsh(Hf)[:, 0]
-    tiny = 1e-9 * mag + np.finfo(float).tiny
+    tiny = 1e-9 * mag + _TINY
     # a positive definite block stays as it is; otherwise its smallest
     # eigenvalue is lifted to tiny + |lam|
-    shift = np.where(lam >= tiny, 0.0, tiny - 2.0 * np.minimum(lam, 0.0))[:, None, None] * eye
+    definite = lam >= tiny
+    shift = None
+    if not definite.all():
+        shift = np.where(definite, 0.0, tiny - 2.0 * np.minimum(lam, 0.0))[:, None, None] * eye
     # ends: each pass that does not return freezes a coordinate, and with
     # every coordinate frozen d = 0
     while True:
-        d = np.linalg.solve(Hf + shift, gf[:, :, None])[:, :, 0]
-        out = free & (((X <= lo) & (d < 0)) | ((X >= hi) & (d > 0)))
+        d = np.linalg.solve(Hf if shift is None else Hf + shift, gf[:, :, None])[:, :, 0]
+        if not bounded:
+            return d
+        out = free & ((at_lo & (d < 0)) | (at_hi & (d > 0)))
         if not out.any():
             return d
         free &= ~out
@@ -414,51 +430,68 @@ def _newton_ascent(A, X, v, sig2, lo, hi):
     once), or when backtracking finds no ascent; it is non-converged if
     _NEWTON_ITERS iterations pass first.  Returns phi, the final loads and the
     settled flags, per start.
+
+    The full step is tried for every unsettled start at once, with no
+    gathers; only the starts it fails go on to the halved steps.  The
+    unsettled set is compacted only in an iteration where some start
+    settles.
     """
-    P = X.shape[0]
+    P, k = X.shape
     G, Y = _load_objective(A, X, v, sig2)
     X = X.copy()
     settled = np.zeros(P, dtype=bool)
+    eye = np.eye(k)
 
     # the unsettled starts, compacted whenever some settle
     alive = np.arange(P)
     Aa, Xa, Ga, Ya = A, X.copy(), G.copy(), Y
+    AaT = Aa.transpose(0, 2, 1)
     for _ in range(_NEWTON_ITERS):
-        AaT = Aa.transpose(0, 2, 1)
         r = v - np.log(Ya)
         q = (1.0 + r / sig2) / Ya  # d phi / d y
         g = np.matmul(AaT, q[:, :, None])[:, :, 0]
         w = (1.0 + (1.0 + r) / sig2) / (Ya * Ya)  # - d2 phi / d y2
         H = np.matmul(AaT * w[:, None, :], Aa)
-        d = _newton_direction(H, g, Xa, lo, hi)
+        d = _newton_direction(H, g, Xa, lo, hi, eye)
         final = (g * d).sum(axis=1) <= _REL_TOL * (1.0 + np.abs(Ga))
 
-        # projected Armijo backtracking; a final step gets one try at t = 1
-        t = np.ones(alive.size)
-        ok = np.zeros(alive.size, dtype=bool)
-        Xn, Gn, Yn = Xa.copy(), Ga.copy(), Ya.copy()
-        pend = np.arange(alive.size)
-        for _ in range(60):
-            trial = np.clip(Xa[pend] + t[pend, None] * d[pend], lo, hi)
+        # projected Armijo backtracking from t = 1; a final step gets only
+        # that one try
+        trial = np.minimum(np.maximum(Xa + d, lo), hi)
+        Gt, Yt = _load_objective(Aa, trial, v, sig2)
+        gain = ((trial - Xa) * g).sum(axis=1)
+        ok = Gt >= Ga + _ARMIJO * np.maximum(gain, 0.0)
+        Xn = np.where(ok[:, None], trial, Xa)
+        Gn = np.where(ok, Gt, Ga)
+        Yn = np.where(ok[:, None], Yt, Ya)
+        pend = np.flatnonzero(~ok & ~final)
+        t = 1.0
+        for _ in range(59):
+            if pend.size == 0:
+                break
+            t *= 0.5
+            Xp, dp = Xa[pend], d[pend]
+            trial = np.minimum(np.maximum(Xp + t * dp, lo), hi)
             Gt, Yt = _load_objective(Aa[pend], trial, v, sig2)
-            gain = ((trial - Xa[pend]) * g[pend]).sum(axis=1)
+            gain = ((trial - Xp) * g[pend]).sum(axis=1)
             good = Gt >= Ga[pend] + _ARMIJO * np.maximum(gain, 0.0)
             hit = pend[good]
             Xn[hit], Gn[hit], Yn[hit] = trial[good], Gt[good], Yt[good]
             ok[hit] = True
-            pend = pend[~good & ~final[pend]]
-            if pend.size == 0:
-                break
-            t[pend] *= 0.5
+            pend = pend[~good]
         # a start whose backtracking found no ascent sits at a stationary point
         done = final | ~ok
-        X[alive], G[alive] = Xn, Gn
-        settled[alive[done]] = True
-        keep = ~done
-        alive = alive[keep]
-        if alive.size == 0:
-            break
-        Aa, Xa, Ga, Ya = Aa[keep], Xn[keep], Gn[keep], Yn[keep]
+        if done.any():
+            X[alive], G[alive] = Xn, Gn
+            settled[alive[done]] = True
+            keep = ~done
+            alive = alive[keep]
+            if alive.size == 0:
+                return G, X, settled
+            Aa, Xn, Gn, Yn = Aa[keep], Xn[keep], Gn[keep], Yn[keep]
+            AaT = Aa.transpose(0, 2, 1)
+        Xa, Ga, Ya = Xn, Gn, Yn
+    X[alive], G[alive] = Xa, Ga
     return G, X, settled
 
 
@@ -511,17 +544,20 @@ class _ListAccumulator:
         self.kept: list[tuple[np.ndarray, np.ndarray]] = []
         self.exceeded = False
 
-    def feed(self, subsets: np.ndarray) -> None:
-        """Score one chunk (already coverage-filtered); honors the cap."""
+    def feed(self, subsets: np.ndarray, cnt: np.ndarray) -> None:
+        """Score one coverage-filtered chunk; honors the cap.
+
+        cnt holds the chunk's row counts (_Scorer.row_counts), one row per
+        subset; past the cap both are cut to the room left.
+        """
         room = self.cap - self.scored
         if room <= 0:
             self.exceeded = True
             return
         if subsets.shape[0] > room:
-            subsets = subsets[:room]
+            subsets, cnt = subsets[:room], cnt[:room]
             self.exceeded = True
         self.scored += subsets.shape[0]
-        cnt = self.scorer.row_counts(subsets)
         bound = self.scorer.upper_bound(subsets, cnt)
         # a subset whose bound misses the list threshold can neither enter
         # the final list nor become the maximizer: skip its load search
@@ -591,8 +627,10 @@ def _list_decode(
     acc = _ListAccumulator(scorer, cfg.enumeration_cap, math.log(cfg.alpha), rng)
     for sizes in itertools.product(*windows):
         for chunk in _block_chunks(blocks, sizes):
-            covered = scorer.coverage(chunk)
-            acc.feed(chunk[covered])
+            cnt = scorer.row_counts(chunk)
+            # a candidate must pool every positive reading
+            covered = (cnt > 0).all(axis=1)
+            acc.feed(chunk[covered], cnt[covered])
             if acc.exceeded:
                 break
         if acc.exceeded:

@@ -347,11 +347,15 @@ _GOOD = _mini_config().to_dict()
         {**_GOOD, "kappa": 1.5},
         {**_GOOD, "k_window": 1.5},
         {**_GOOD, "enumeration_cap": 10.5},
+        {**_GOOD, "sigma_eps": math.nan},
+        {**_GOOD, "sigma_eps": math.inf},
+        {**_GOOD, "load_hi": math.inf},
     ],
     ids=[
         "unknown_key", "k_window", "enumeration_cap", "kappa", "sigma_eps", "load_box",
         "trials", "stap_width", "n_float", "q_float", "s_float", "k_float", "trials_bool",
         "master_seed_float", "kappa_float", "k_window_float", "enumeration_cap_float",
+        "sigma_eps_nan", "sigma_eps_inf", "load_hi_inf",
     ],
 )
 def test_cli_simulate_bad_config_exits_2(tmp_path, capsys, raw):
@@ -464,6 +468,24 @@ def test_cli_decode_rejects_non_finite_reading(tmp_path, capsys, token):
     )
     captured = capsys.readouterr()
     assert f"reading 3 in {meas_path} is {token}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--sigma-eps", "nan"], ["--sigma-eps", "inf"], ["--load-hi", "inf"]],
+    ids=["sigma_eps_nan", "sigma_eps_inf", "load_hi_inf"],
+)
+def test_cli_decode_rejects_non_finite_model_values(tmp_path, capsys, flags):
+    mat = builtin_matrix(5, 31)
+    matrix_path = tmp_path / "design.txt"
+    save_matrix(mat, matrix_path)
+    meas_path = tmp_path / "readings.txt"
+    meas_path.write_text("0\n120.5\n98.0\n0\n0\n")
+    argv = ["decode", "--matrix", str(matrix_path), "--measurements", str(meas_path), *flags]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
     assert captured.out == ""
 
 

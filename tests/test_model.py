@@ -86,8 +86,9 @@ def test_apply_noise_rejects_negative():
 
 
 def test_noise_model_validation():
-    with pytest.raises(ValueError):
-        NoiseModel(sigma_eps=0.0)
+    for sigma in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            NoiseModel(sigma_eps=sigma)
 
 
 # ---------------------------------------------------------------- load laws
@@ -132,4 +133,8 @@ def test_load_law_validation():
         UniformLoad(5.0, 2.0)
     with pytest.raises(ValueError):
         UniformLoad(0.0, 10.0)
+    with pytest.raises(ValueError):
+        UniformLoad(1.0, math.inf)
+    with pytest.raises(ValueError):
+        UniformLoad(math.nan, 10.0)
 
