@@ -27,9 +27,7 @@ import numpy as np
 from . import __version__
 from .model import NoiseModel, Signal, UniformLoad, generate_signal_fixed_k
 from .recovery import DecoderConfig
-from .schemes import SCHEME_NAMES, SchemeConfig, TrialOutcome, run_scheme
-
-DECODED_SCHEMES = ("stap1", "stap2", "stamp")
+from .schemes import DECODED_SCHEMES, SCHEME_NAMES, SchemeConfig, TrialOutcome, run_scheme
 
 SEED_DERIVATION = (
     "seed = splitmix64(master_seed XOR fnv1a64('{scheme}|{k}|{alpha_bits}|{trial}'))"

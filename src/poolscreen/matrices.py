@@ -180,11 +180,10 @@ def _gale_ryser_feasible(caps, rest_counts: dict[int, int]) -> bool:
 
 @lru_cache(maxsize=None)
 def _row_patterns(m: int, w: int):
-    """All w-subsets of m rows: as tuples, as an index array, and as bitmasks."""
+    """All w-subsets of m rows: as tuples and as an index array."""
     combos = list(itertools.combinations(range(m), w))
     idx = np.array(combos, dtype=np.intp).reshape(len(combos), w)
-    masks = np.array([sum(1 << i for i in combo) for combo in combos], dtype=np.int64)
-    return combos, idx, masks
+    return combos, idx
 
 
 def _has_duplicate_rows(entries: np.ndarray) -> bool:
@@ -215,8 +214,6 @@ def profile_sample(
     profile.validate()
     if profile.m != m or profile.n != n:
         raise ValueError(f"profile is {profile.m}x{profile.n}, requested {m}x{n}")
-    if m > 62:
-        raise ValueError("pattern bookkeeping supports at most 62 rows")
 
     col_weight_list = np.array(
         [w for w, cnt in sorted(profile.col_weights.items()) for _ in range(cnt)], dtype=int
@@ -234,8 +231,9 @@ def profile_sample(
         entries = np.zeros((m, n), dtype=np.uint8)
         used = None
         if profile.distinct_cols:
-            # flat flag array when the mask space is small, else a set
-            used = np.zeros(1 << m, dtype=bool) if m <= 20 else set()
+            # columns of different weights never share a row pattern, so each
+            # weight flags its own patterns, by position in _row_patterns(m, w)
+            used = {w: np.zeros(len(_row_patterns(m, w)[0]), bool) for w in profile.col_weights}
         ok = True
         rest_counts = {w: cnt for w, cnt in profile.col_weights.items() if w > 0}
         for c in fill_order:
@@ -266,27 +264,19 @@ def _place_column(entries, caps, used, c, w, rest_counts, rng) -> bool:
 
     `caps` is the list of remaining row capacities, updated in place.
     """
-    m = len(caps)
-    flags = isinstance(used, np.ndarray)
     if w == 0:
+        # the one empty pattern; placing it draws nothing
         if used is not None:
-            taken = used[0] if flags else 0 in used
-            if taken:
+            if used[0][0]:
                 return False
-            if flags:
-                used[0] = True
-            else:
-                used.add(0)
+            used[0][0] = True
         return True
-    combos, idx, masks = _row_patterns(m, w)
+    combos, idx = _row_patterns(len(caps), w)
     # caps never go negative, so a product is 0 exactly when a row is full
     weights = np.array(caps)[idx].prod(axis=1)
     valid = weights > 0
     if used is not None:
-        if flags:
-            valid &= ~used[masks]
-        elif used:
-            valid &= np.fromiter((mk not in used for mk in masks), dtype=bool, count=len(masks))
+        valid &= ~used[w]
     cand = valid.nonzero()[0]
     weights = weights[cand].astype(float)
     while cand.shape[0]:
@@ -301,10 +291,7 @@ def _place_column(entries, caps, used, c, w, rest_counts, rng) -> bool:
         if _gale_ryser_feasible(caps, rest_counts):
             entries[rows, c] = 1
             if used is not None:
-                if flags:
-                    used[masks[pick]] = True
-                else:
-                    used.add(int(masks[pick]))
+                used[w][pick] = True
             return True
         for r in rows:
             caps[r] += 1

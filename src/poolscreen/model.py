@@ -118,14 +118,13 @@ def _irwin_hall_pdf(x, k: int | np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Multiplicative log-normal noise: z = y * eps, ln eps ~ N(mu, sigma^2).
+    """Multiplicative log-normal noise: z = y * eps, ln eps ~ N(0, sigma^2).
 
     The default scale matches an amplification-efficiency spread of about
     5 percent per cycle on a base-1.95 reaction (sigma_eps = 0.1 * ln 1.95).
     """
 
     sigma_eps: float = 0.1 * math.log(1.95)
-    mu_eps: float = 0.0
 
     def __post_init__(self):
         # nan would fail no sign test and turn every reading into nan
@@ -134,7 +133,7 @@ class NoiseModel:
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         g = rng.standard_normal(size)
-        return np.exp(self.mu_eps + self.sigma_eps * g)
+        return np.exp(self.sigma_eps * g)
 
 
 def apply_noise_vec(y: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:

@@ -57,16 +57,20 @@ class ReducedInstance:
     active_rows: np.ndarray
     sub_matrix: np.ndarray
     sub_measurements: np.ndarray
-    m_star: int
-    s_star: int
 
     def __post_init__(self):
-        if self.sub_matrix.shape != (self.m_star, self.s_star):
-            raise ValueError("sub_matrix shape disagrees with m_star/s_star")
-        if self.sub_measurements.shape != (self.m_star,):
-            raise ValueError("sub_measurements length disagrees with m_star")
         if np.any(self.sub_measurements <= 0):
             raise ValueError("reduced instances keep only strictly positive readings")
+
+    @property
+    def m_star(self) -> int:
+        """Number of positive readings."""
+        return self.sub_matrix.shape[0]
+
+    @property
+    def s_star(self) -> int:
+        """Number of surviving columns."""
+        return self.sub_matrix.shape[1]
 
 
 def comp(instance: PoolInstance) -> ReducedInstance:
@@ -86,8 +90,6 @@ def comp(instance: PoolInstance) -> ReducedInstance:
         active_rows=active,
         sub_matrix=sub,
         sub_measurements=z[active],
-        m_star=active.shape[0],
-        s_star=survivors.shape[0],
     )
 
 
@@ -122,7 +124,7 @@ def sum_measurement_logpdf(
     ks = np.asarray(k)
     if np.any(ks < 1):
         raise ValueError("k must be >= 1")
-    u = noise.mu_eps + math.sqrt(2.0) * noise.sigma_eps * _GH_X
+    u = math.sqrt(2.0) * noise.sigma_eps * _GH_X
     shrink = np.exp(-u)
     fy = law.sum_density(ks.ravel(), z * shrink)
     vals = (_GH_W * fy * shrink).sum(axis=1) / _SQRT_PI
@@ -145,21 +147,17 @@ def count_log_posterior(
 ) -> np.ndarray:
     """Unnormalized log posterior over k = 1..s given a positive pool reading.
 
-    Binomial(s, p) prior restricted to k >= 1 times the reading density.
+    Binomial(s, p) prior, 0 < p < 1, restricted to k >= 1 times the reading
+    density.
     """
     if z1 <= 0:
         raise ValueError("the pool reading must be positive")
     if s < 1:
         raise ValueError("s must be >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie in (0, 1)")
     ks = np.arange(1, s + 1)
-    lp = math.log(p) if p > 0 else -math.inf
-    if p < 1.0:
-        tail = (s - ks) * math.log1p(-p)
-    else:
-        tail = np.where(ks == s, 0.0, -np.inf)
-    log_prior = _log_binomial(s) + ks * lp + tail
+    log_prior = _log_binomial(s) + ks * math.log(p) + (s - ks) * math.log1p(-p)
     return log_prior + sum_measurement_logpdf(z1, ks, law, noise)
 
 
@@ -233,72 +231,22 @@ class BudgetExceeded(RuntimeError):
 
 
 def _prior_part(k: int, s_star: int, p: float, law: UniformLoad) -> float:
-    lp = math.log(p) if p > 0 else -math.inf
-    lq = math.log1p(-p) if p < 1 else -math.inf
-    # guard the k = 0 and k = s_star corners against 0 * inf
-    val = 0.0
-    if k > 0:
-        val += k * (lp + law.log_density_inside)
-    if s_star > k:
-        val += (s_star - k) * lq
-    return val
+    """Log prior of one support of k columns among s_star, with its loads' density."""
+    return k * (math.log(p) + law.log_density_inside) + (s_star - k) * math.log1p(-p)
 
 
-class _Scorer:
-    """Shared per-instance quantities for scoring subsets of one reduction.
+def _row_counts(M: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """How many subset columns each row of M pools: (N, m).
 
-    The list decoder builds one only for m* >= 1 positive readings and feeds
-    it subsets of at least one column.
+    Summed one column gather at a time; the counts are small integers, so
+    the order of the sum does not matter.  The result is the transpose of an
+    (m, N) gather and so C-contiguous, the layout that fixes the summation
+    order of the list decoder's bound.
     """
-
-    def __init__(self, reduced: ReducedInstance, p: float, noise: NoiseModel, law: UniformLoad):
-        self.reduced = reduced
-        self.v = np.log(reduced.sub_measurements) - noise.mu_eps  # (m*,)
-        self.sig2 = noise.sigma_eps**2
-        # constants of the log objective: the per-row density normalizers
-        self.const = float(
-            -np.log(reduced.sub_measurements).sum()
-            - reduced.m_star * math.log(noise.sigma_eps * math.sqrt(2.0 * math.pi))
-        )
-        self.lo = law.lo
-        self.hi = law.hi
-        self.log_lo = math.log(self.lo)
-        self.log_hi = math.log(self.hi)
-        self.priors = {k: _prior_part(k, reduced.s_star, p, law) for k in range(0, reduced.s_star + 1)}
-
-    def row_counts(self, subsets: np.ndarray) -> np.ndarray:
-        """How many subset columns each positive reading pools: (N, m*).
-
-        Summed one column gather at a time; the counts are small integers,
-        so the order of the sum does not matter.  The result is the
-        transpose of an (m*, N) gather and so C-contiguous, the layout that
-        fixes the summation order of upper_bound's row sums.
-        """
-        M = self.reduced.sub_matrix
-        cnt = M[:, subsets[:, 0]]
-        for j in range(1, subsets.shape[1]):
-            cnt += M[:, subsets[:, j]]
-        return cnt.T
-
-    def upper_bound(self, subsets: np.ndarray, cnt: np.ndarray) -> np.ndarray:
-        """Bound on log f: each row's term maximized independently.
-
-        The row term u - (v-u)^2/(2 sig^2) is concave in u = ln(pooled load),
-        peaking at v + sig^2; u is confined to [ln(c*lo), ln(c*hi)] when the
-        subset puts c columns in the row.  Summing the clamped peaks bounds
-        the coupled maximum from above.
-        """
-        k = subsets.shape[1]
-        log_cnt = np.log(np.maximum(cnt, 1.0))
-        u = np.clip(self.v + self.sig2, log_cnt + self.log_lo, log_cnt + self.log_hi)
-        term = u - (self.v - u) ** 2 / (2.0 * self.sig2)
-        return term.sum(axis=1) + self.priors[k] + self.const
-
-    def exact(self, subsets: np.ndarray, rng: np.random.Generator):
-        """Optimized log f and convergence of the load search, per subset."""
-        A = self.reduced.sub_matrix[:, subsets].transpose(1, 0, 2)  # (N, m*, k)
-        phi, _, conv = _optimize_loads(A, self.v, self.sig2, self.lo, self.hi, rng)
-        return phi + self.priors[subsets.shape[1]] + self.const, conv
+    cnt = M[:, subsets[:, 0]]
+    for j in range(1, subsets.shape[1]):
+        cnt += M[:, subsets[:, j]]
+    return cnt.T
 
 
 def _load_objective(A, X, v, sig2):
@@ -529,67 +477,6 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([np.repeat(a, b.shape[0], axis=0), np.tile(b, (a.shape[0], 1))], axis=1)
 
 
-class _ListAccumulator:
-    """Running best score, kept chunks, and the cap accounting."""
-
-    def __init__(self, scorer: _Scorer, cap: int, log_alpha: float, rng: np.random.Generator):
-        self.scorer = scorer
-        self.cap = cap
-        self.log_alpha = log_alpha
-        self.rng = rng
-        self.scored = 0
-        self.best_logf = -math.inf
-        self.best_subset: tuple[int, ...] | None = None
-        self.best_converged = True
-        self.kept: list[tuple[np.ndarray, np.ndarray]] = []
-        self.exceeded = False
-
-    def feed(self, subsets: np.ndarray, cnt: np.ndarray) -> None:
-        """Score one coverage-filtered chunk; honors the cap.
-
-        cnt holds the chunk's row counts (_Scorer.row_counts), one row per
-        subset; past the cap both are cut to the room left.
-        """
-        room = self.cap - self.scored
-        if room <= 0:
-            self.exceeded = True
-            return
-        if subsets.shape[0] > room:
-            subsets, cnt = subsets[:room], cnt[:room]
-            self.exceeded = True
-        self.scored += subsets.shape[0]
-        bound = self.scorer.upper_bound(subsets, cnt)
-        # a subset whose bound misses the list threshold can neither enter
-        # the final list nor become the maximizer: skip its load search
-        keep = bound >= self.log_alpha + self.best_logf
-        if not np.any(keep):
-            return
-        subsets = subsets[keep]
-        logf, conv = self.scorer.exact(subsets, self.rng)
-        top = int(np.argmax(logf))
-        if logf[top] > self.best_logf:
-            self.best_logf = float(logf[top])
-            self.best_subset = tuple(int(j) for j in subsets[top])
-            self.best_converged = bool(conv[top])
-        sel = logf >= self.log_alpha + self.best_logf
-        if np.any(sel):
-            self.kept.append((subsets[sel], logf[sel]))
-
-    def result(self, reduced: ReducedInstance) -> DecodeResult:
-        if self.best_subset is None or self.best_logf == -math.inf:
-            # nothing admissible explains the readings
-            return DecodeResult((), None, self.scored, self.exceeded)
-        threshold = self.log_alpha + self.best_logf
-        cols = reduced.survivors
-        union = {int(cols[j]) for subs, logf in self.kept for j in subs[logf >= threshold].flat}
-        best = CandidateScore(
-            subset=tuple(int(cols[j]) for j in self.best_subset),
-            log_score=self.best_logf,
-            converged=self.best_converged,
-        )
-        return DecodeResult(tuple(sorted(union)), best, self.scored, self.exceeded)
-
-
 def _list_decode(
     reduced: ReducedInstance,
     blocks,
@@ -607,9 +494,17 @@ def _list_decode(
     survivors contributes size 0, and with no survivors at all the result is
     empty.  Candidates are every choice of one size per block, and of that
     many columns from each.
+
+    A candidate must pool every positive reading.  The covered ones count
+    against cfg.enumeration_cap; once a covered candidate is left unscored,
+    the decode stops and raises BudgetExceeded with what it has.  A covered
+    candidate whose bound misses log alpha + the running best is not worth
+    a load search, since it can neither join the list nor lead it.
     """
     if reduced.m_star < 1:
         raise ValueError("decoding needs at least one positive reading")
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie in (0, 1)")
     windows = []
     for k_hat, block in zip(k_hats, blocks):
         size = block.shape[0]
@@ -623,20 +518,72 @@ def _list_decode(
         return DecodeResult((), None, 0, False)
 
     rng = rng if rng is not None else np.random.default_rng(0)
-    scorer = _Scorer(reduced, p, noise, law)
-    acc = _ListAccumulator(scorer, cfg.enumeration_cap, math.log(cfg.alpha), rng)
+    M = reduced.sub_matrix
+    v = np.log(reduced.sub_measurements)  # (m*,)
+    sig2 = noise.sigma_eps**2
+    # constants of the log objective: the per-row density normalizers
+    const = float(-v.sum() - reduced.m_star * math.log(noise.sigma_eps * math.sqrt(2.0 * math.pi)))
+    # The bound on log f maximizes each row's term u - (v-u)^2/(2 sig^2)
+    # independently: it is concave in u = ln(pooled load) and peaks at
+    # v + sig^2, and u lies in [ln(c*lo), ln(c*hi)] for a row that pools c
+    # of the candidate's columns.  The clamped peaks sum to an upper bound.
+    peak = v + sig2
+    log_lo, log_hi = math.log(law.lo), math.log(law.hi)
+    log_alpha = math.log(cfg.alpha)
+
+    scored = 0
+    exceeded = False
+    best_logf = -math.inf
+    best_subset: tuple[int, ...] | None = None
+    best_converged = True
+    kept: list[tuple[np.ndarray, np.ndarray]] = []
     for sizes in itertools.product(*windows):
+        prior = _prior_part(sum(sizes), reduced.s_star, p, law)
         for chunk in _block_chunks(blocks, sizes):
-            cnt = scorer.row_counts(chunk)
-            # a candidate must pool every positive reading
+            cnt = _row_counts(M, chunk)
             covered = (cnt > 0).all(axis=1)
-            acc.feed(chunk[covered], cnt[covered])
-            if acc.exceeded:
+            subsets, cnt = chunk[covered], cnt[covered]
+            room = cfg.enumeration_cap - scored
+            if subsets.shape[0] > room:
+                subsets, cnt = subsets[:room], cnt[:room]
+                exceeded = True
+            scored += subsets.shape[0]
+            log_cnt = np.log(np.maximum(cnt, 1.0))
+            u = np.clip(peak, log_cnt + log_lo, log_cnt + log_hi)
+            bound = (u - (v - u) ** 2 / (2.0 * sig2)).sum(axis=1) + prior + const
+            keep = bound >= log_alpha + best_logf
+            if np.any(keep):
+                subsets = subsets[keep]
+                A = M[:, subsets].transpose(1, 0, 2)  # (N, m*, k)
+                phi, _, conv = _optimize_loads(A, v, sig2, law.lo, law.hi, rng)
+                logf = phi + prior + const
+                top = int(np.argmax(logf))
+                if logf[top] > best_logf:
+                    best_logf = float(logf[top])
+                    best_subset = tuple(int(j) for j in subsets[top])
+                    best_converged = bool(conv[top])
+                sel = logf >= log_alpha + best_logf
+                if np.any(sel):
+                    kept.append((subsets[sel], logf[sel]))
+            if exceeded:
                 break
-        if acc.exceeded:
+        if exceeded:
             break
-    result = acc.result(reduced)
-    if result.budget_exceeded:
+
+    if best_subset is None:
+        # nothing admissible explains the readings
+        result = DecodeResult((), None, scored, exceeded)
+    else:
+        threshold = log_alpha + best_logf
+        cols = reduced.survivors
+        union = {int(cols[j]) for subs, logf in kept for j in subs[logf >= threshold].flat}
+        best = CandidateScore(
+            subset=tuple(int(cols[j]) for j in best_subset),
+            log_score=best_logf,
+            converged=best_converged,
+        )
+        result = DecodeResult(tuple(sorted(union)), best, scored, exceeded)
+    if exceeded:
         raise BudgetExceeded(result)
     return result
 

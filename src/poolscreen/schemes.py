@@ -33,6 +33,8 @@ from .recovery import (
 logger = logging.getLogger(__name__)
 
 SCHEME_NAMES = ("individual", "dorfman", "stap1", "stap2", "stamp")
+# the schemes whose stage 2 is a coded design that a decoder reads
+DECODED_SCHEMES = ("stap1", "stap2", "stamp")
 
 # Stage-2 row counts: stap1's fixed count; a single pool's count by its count
 # estimate (estimates above the largest key take the largest key's rows); and
@@ -60,7 +62,7 @@ class SchemeConfig:
             raise ValueError("q and s must be positive")
         if self.kappa < 1:
             raise ValueError("kappa must be >= 1")
-        if self.scheme in ("stap1", "stap2", "stamp") and self.s != 31:
+        if self.scheme in DECODED_SCHEMES and self.s != 31:
             # coded stage-2 designs are defined for width-31 pools only
             raise ValueError(f"scheme {self.scheme!r} needs s = 31, got s = {self.s}")
 
@@ -168,10 +170,10 @@ def _stage1_readings(signal: Signal, cfg: SchemeConfig, meter: _Meter) -> np.nda
 
 
 def _prevalence(cfg: SchemeConfig, t: int) -> float:
-    # With every pool positive the maximum-likelihood estimate is 1, and a
-    # prevalence of 1 gives every support short of all the survivors prior
-    # zero, so the decoders would return nothing.  Counting half a negative
-    # pool keeps the estimate below 1 there and leaves every t < q as it is.
+    # The count posterior and the decoder take 0 < p < 1.  With every pool
+    # positive the maximum-likelihood estimate is 1; counting half a negative
+    # pool keeps it below 1 there and leaves every t < q as it is.  With no
+    # positive pool it is 0, but then nothing is decoded.
     return estimate_prevalence(t - 0.5 if t == cfg.q else t, cfg.q, cfg.s)
 
 
@@ -301,16 +303,6 @@ def _run_adaptive(
     positives = np.flatnonzero(z1 > 0)
     t = positives.shape[0]
     values = np.asarray(signal.values)
-    if t == 0:
-        assert meter.count == cfg.q
-        return TrialOutcome(
-            estimated_support=(),
-            measurements_total=cfg.q,
-            measurements_stage1=cfg.q,
-            measurements_stage2=0,
-            pipetting_ops=cfg.n,
-            budget_flag=False,
-        )
     p = _prevalence(cfg, t)
     k_hats = {
         int(l): estimate_pool_count(float(z1[l]), cfg.s, p, noise, cfg.load_law)

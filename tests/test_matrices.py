@@ -152,13 +152,19 @@ WIDE_STREAM_DIGESTS = {
 
 @pytest.mark.parametrize("seed", sorted(WIDE_STREAM_DIGESTS))
 def test_profile_sample_more_than_20_rows(seed):
-    # with m > 20 the used row patterns are kept in a set, not a flag array
+    # the used row patterns are flagged per column weight, by their position
+    # among that weight's patterns, so the row count sets no limit
     profile = WeightProfile(col_weights={3: 14}, row_weights={2: 21})
     rng = np.random.default_rng(seed)
     mat = profile_sample(profile, 21, 14, rng)
     ok, report = verify_profile(mat, profile)
     assert ok, report
     assert _stream_digest([mat], rng) == WIDE_STREAM_DIGESTS[seed]
+    # 63 rows: one more than an int64 bitmask of the rows could hold
+    square = WeightProfile(col_weights={2: 63}, row_weights={2: 63})
+    mat = profile_sample(square, 63, 63, np.random.default_rng(seed))
+    ok, report = verify_profile(mat, square)
+    assert ok, report
 
 
 def test_profile_sample_varies_with_seed():

@@ -38,7 +38,7 @@ from poolscreen.recovery import (
 LAW = UniformLoad()
 NOISE = NoiseModel()
 # the noise factor's density, from scipy rather than the package
-EPS = stats.lognorm(s=NOISE.sigma_eps, scale=math.exp(NOISE.mu_eps))
+EPS = stats.lognorm(s=NOISE.sigma_eps)
 
 
 def _instance(matrix, x, noise, rng, stage1=True):
@@ -161,7 +161,7 @@ def test_prevalence_validation():
 
 def _oracle_count_logpost(z1, s, p, noise, ks):
     """Independent posterior: scipy Irwin-Hall density, quadrature in noise."""
-    eps = stats.lognorm(s=noise.sigma_eps, scale=math.exp(noise.mu_eps))
+    eps = stats.lognorm(s=noise.sigma_eps)
     out = []
     for k in ks:
         ih = stats.irwinhall(k)
@@ -171,8 +171,8 @@ def _oracle_count_logpost(z1, s, p, noise, ks):
             return ih.pdf((y - k) / 999.0) / 999.0 * eps.pdf(e) / e
 
         # integrate only where both factors can be nonzero
-        lo = max(z1 / (1000.0 * k), math.exp(noise.mu_eps - 12 * noise.sigma_eps))
-        hi = min(z1 / k, math.exp(noise.mu_eps + 12 * noise.sigma_eps))
+        lo = max(z1 / (1000.0 * k), math.exp(-12 * noise.sigma_eps))
+        hi = min(z1 / k, math.exp(12 * noise.sigma_eps))
         val = integrate.quad(integrand, lo, hi, limit=400)[0] if lo < hi else 0.0
         prior = math.comb(s, k) * p**k * (1 - p) ** (s - k)
         out.append(math.log(prior * val) if prior * val > 0 else -math.inf)
@@ -182,7 +182,7 @@ def _oracle_count_logpost(z1, s, p, noise, ks):
 def test_sum_logpdf_closed_form_single_load():
     # one load, reading deep inside the box: density is E[1/eps]/999 exactly
     got = sum_measurement_logpdf(30.0, 1, LAW, NOISE)
-    want = -math.log(999.0) - NOISE.mu_eps + NOISE.sigma_eps**2 / 2.0
+    want = -math.log(999.0) + NOISE.sigma_eps**2 / 2.0
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -252,7 +252,7 @@ def _scalar_count_log_posterior(z1, s, p, noise, law):
 
     def log_like(k):
         x, w = GH_NODES
-        u = noise.mu_eps + math.sqrt(2.0) * noise.sigma_eps * x
+        u = math.sqrt(2.0) * noise.sigma_eps * x
         fy = sum_density(k, z1 * np.exp(-u))
         val = float(np.sum(w * fy * np.exp(-u))) / math.sqrt(math.pi)
         return math.log(val) if val > 0.0 else -math.inf
@@ -299,8 +299,6 @@ def _single_row_reduced(z):
         active_rows=np.array([0]),
         sub_matrix=np.ones((1, 1)),
         sub_measurements=np.array([z]),
-        m_star=1,
-        s_star=1,
     )
 
 
@@ -346,7 +344,7 @@ def log_posterior_gradient(red, subset, loads, noise):
     """
     a = red.sub_matrix[:, np.asarray(subset, dtype=np.intp)]
     y = a @ loads
-    v = np.log(red.sub_measurements) - noise.mu_eps
+    v = np.log(red.sub_measurements)
     u = np.log(y)
     return a.T @ ((1.0 + (v - u) / noise.sigma_eps**2) / y)
 
@@ -359,7 +357,7 @@ def _kkt_residual(red, subset, loads):
 
 def _optimize_subset(red, subset, seed=0):
     a = red.sub_matrix[:, list(subset)]
-    v = np.log(red.sub_measurements) - NOISE.mu_eps
+    v = np.log(red.sub_measurements)
     G, X, conv = _optimize_loads(
         a[None], v, NOISE.sigma_eps**2, LAW.lo, LAW.hi, np.random.default_rng(seed)
     )
@@ -379,7 +377,7 @@ def test_score_concentrates_on_true_support_noiseless():
         if red.sub_matrix[:, list(pair)].any(axis=1).all()
     ]
     a = np.stack([red.sub_matrix[:, list(pair)] for pair in pairs])
-    v = np.log(red.sub_measurements) - QUIET.mu_eps
+    v = np.log(red.sub_measurements)
     G, X, _ = _optimize_loads(
         a, v, QUIET.sigma_eps**2, LAW.lo, LAW.hi, np.random.default_rng(0)
     )
@@ -411,8 +409,6 @@ def test_single_column_closed_form_matches_grid(z):
         active_rows=np.arange(m),
         sub_matrix=np.ones((m, 1)),
         sub_measurements=np.array(z),
-        m_star=m,
-        s_star=1,
     )
     G, X, conv, a, v = _optimize_subset(red, (0,))
     grid = np.linspace(LAW.lo, LAW.hi, 999_001)  # spacing 0.001
@@ -466,8 +462,6 @@ def test_optimizer_kkt_on_a_bound():
         active_rows=np.arange(3),
         sub_matrix=a,
         sub_measurements=np.array([5000.0, 5200.0, 200.0]),
-        m_star=3,
-        s_star=2,
     )
     G, X, conv, _, _ = _optimize_subset(red, (0, 1))
     assert conv
@@ -486,7 +480,7 @@ def _bound_and_shift_batch(k, seed, n=12, m=7):
     a = (rng.random((n, m, k)) < 0.5).astype(float)
     empty = ~a.any(axis=2)
     a[empty, rng.integers(0, k, size=int(empty.sum()))] = 1.0
-    return a, np.log(z) - NOISE.mu_eps
+    return a, np.log(z)
 
 
 def _on_bound(X):
@@ -536,7 +530,7 @@ def test_optimizer_blocks_do_not_change_results(monkeypatch):
     ]
     shipped = (
         np.stack([red.sub_matrix[:, list(sub)] for sub in covering[:5]]),
-        np.log(red.sub_measurements) - NOISE.mu_eps,
+        np.log(red.sub_measurements),
     )
     batches = [shipped, _bound_and_shift_batch(3, 1)]
 
@@ -557,7 +551,7 @@ def test_optimizer_blocks_do_not_change_results(monkeypatch):
 def test_optimizer_consumes_exactly_the_start_draw(k):
     red, subset = _shipped_instance(7, k, 3)
     a = np.repeat(red.sub_matrix[:, list(subset)][None], 4, axis=0)  # N = 4 candidates
-    v = np.log(red.sub_measurements) - NOISE.mu_eps
+    v = np.log(red.sub_measurements)
     rng = np.random.default_rng(21)
     _optimize_loads(a, v, NOISE.sigma_eps**2, LAW.lo, LAW.hi, rng)
     ref = np.random.default_rng(21)
@@ -572,21 +566,13 @@ def test_optimizer_consumes_exactly_the_start_draw(k):
 @pytest.mark.parametrize("k", range(1, 6))
 def test_row_counts_and_coverage_match_gather_reference(k):
     # the reference takes the (m*, N, k) gathers the filter once used; the
-    # layout must match too, since it fixes the order of upper_bound's row sums
+    # layout must match too, since it fixes the order of the bound's row sums
     rng = np.random.default_rng(k)
     s_star = 9
     subsets = np.array(list(itertools.combinations(range(s_star), k)), dtype=np.intp)
     for m_star in (1, 2, 5, 8, 13):
         M = (rng.random((m_star, s_star)) < 0.3).astype(float)
-        red = ReducedInstance(
-            survivors=np.arange(s_star),
-            active_rows=np.arange(m_star),
-            sub_matrix=M,
-            sub_measurements=np.ones(m_star),
-            m_star=m_star,
-            s_star=s_star,
-        )
-        cnt = recovery._Scorer(red, 0.05, NOISE, LAW).row_counts(subsets)
+        cnt = recovery._row_counts(M, subsets)
         ref_cnt = M[:, subsets].sum(axis=2).T
         ref_covered = (M[:, subsets] > 0).any(axis=2).all(axis=0)
         assert np.array_equal(cnt, ref_cnt)
@@ -699,6 +685,35 @@ def test_decode_budget_overflow_carries_partial_result():
     assert partial.scored_count == 10
 
 
+def test_decode_meeting_the_cap_exactly_is_no_budget_hit():
+    # only pairs with column 0 pool the first reading: 91 covered pairs, all
+    # in the first of the two enumeration chunks; the second holds none
+    mat = np.zeros((2, 92))
+    mat[0, 0] = 1.0
+    mat[1, :] = 1.0
+    red = comp(PoolInstance(mat, np.array([50.0, 400.0])))
+
+    def decode(cap):
+        cfg = DecoderConfig(alpha=0.9, k_window=0, enumeration_cap=cap)
+        return map_list_decode(red, 2, cfg, 0.05, NOISE, LAW)
+
+    roomy = decode(92)
+    exact = decode(91)
+    assert exact == roomy
+    assert not exact.budget_exceeded and exact.scored_count == 91
+    with pytest.raises(BudgetExceeded) as err:
+        decode(90)
+    assert err.value.result.scored_count == 90
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_decoding_needs_prevalence_strictly_inside_0_1(p):
+    with pytest.raises(ValueError, match="p must lie"):
+        count_log_posterior(50.0, 31, p, NOISE, LAW)
+    with pytest.raises(ValueError, match="p must lie"):
+        map_list_decode(_single_row_reduced(5.0), 1, DecoderConfig(), p, NOISE, LAW)
+
+
 def test_decode_is_deterministic():
     mat = builtin_matrix(7, 31).entries
     rng = np.random.default_rng(17)
@@ -788,7 +803,7 @@ def test_mixed_decode_validates_half_counts():
 
 def test_gradient_vanishes_at_unconstrained_optimum():
     red = _single_row_reduced(5.0)
-    x_star = 5.0 * math.exp(NOISE.sigma_eps**2 - NOISE.mu_eps)
+    x_star = 5.0 * math.exp(NOISE.sigma_eps**2)
     g = log_posterior_gradient(red, (0,), np.array([x_star]), NOISE)
     assert abs(g[0]) < 1e-8
 
@@ -810,8 +825,6 @@ def test_gradient_matches_finite_differences():
             active_rows=np.arange(m),
             sub_matrix=a,
             sub_measurements=z,
-            m_star=m,
-            s_star=k,
         )
 
         def objective(v):
@@ -838,8 +851,6 @@ def test_gradient_quadratic_part_scales_with_sigma():
         active_rows=np.arange(4),
         sub_matrix=a,
         sub_measurements=z,
-        m_star=4,
-        s_star=3,
     )
     y = a @ loads
     linear = a.T @ (1.0 / y)
