@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 configuration or validation problem, 3 I/O problem,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -102,17 +103,17 @@ def _resolve_profile(spec: str) -> WeightProfile:
             raise _CliError(f"no builtin profile {spec}; known: {known}", EXIT_CONFIG)
         return BUILTIN_PROFILES[key]
     raw = _load_json(spec)
-    try:
-        profile = WeightProfile(
-            col_weights={int(k): int(v) for k, v in raw["col_weights"].items()},
-            row_weights={int(k): int(v) for k, v in raw["row_weights"].items()},
-            distinct_cols=bool(raw.get("distinct_cols", True)),
-            distinct_rows=bool(raw.get("distinct_rows", True)),
+    fields = [f.name for f in dataclasses.fields(WeightProfile)]
+    if not isinstance(raw, dict) or set(raw) != set(fields):
+        raise _CliError(
+            f"bad profile file {spec}: it must hold exactly the keys {' and '.join(fields)}",
+            EXIT_CONFIG,
         )
-        profile.validate()
-    except (KeyError, TypeError, ValueError, AttributeError) as err:
+    try:
+        # JSON keys are strings; the counts are checked by the profile itself
+        return WeightProfile(**{f: {int(k): v for k, v in raw[f].items()} for f in fields})
+    except (ValueError, AttributeError) as err:
         raise _CliError(f"bad profile file {spec}: {err}", EXIT_CONFIG) from err
-    return profile
 
 
 def _load_matrix_file(path: str) -> SensingMatrix:
@@ -150,8 +151,8 @@ def _cmd_matrix_gen(args) -> int:
     profile = _resolve_profile(args.profile)
     rng = np.random.default_rng(args.seed)
     try:
-        mat = profile_sample(profile, profile.m, profile.n, rng)
-    except (ValueError, MatrixConstructionError) as err:
+        mat = profile_sample(profile, rng)
+    except MatrixConstructionError as err:
         raise _CliError(f"cannot realize profile: {err}", EXIT_CONFIG) from err
     try:
         save_matrix(mat, args.out)
@@ -234,7 +235,7 @@ def _cmd_decode(args) -> int:
             )
         except BudgetExceeded as err:
             decode = err.result
-            result["budget_exceeded"] = True
+        result["budget_exceeded"] = decode.budget_exceeded
         result["estimate"] = [int(j) for j in decode.estimate]
         if decode.best is not None:
             result["best_subset"] = [int(j) for j in decode.best.subset]

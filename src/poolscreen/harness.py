@@ -74,9 +74,6 @@ class ExperimentConfig:
             raise ValueError("every k must lie in [0, n]")
         if not self.schemes:
             raise ValueError("schemes must be non-empty")
-        for name in self.schemes:
-            if name not in SCHEME_NAMES:
-                raise ValueError(f"unknown scheme {name!r}")
         if len(set(self.schemes)) != len(self.schemes):
             raise ValueError("duplicate scheme names")
         if not self.alpha_values:

@@ -1,9 +1,11 @@
 """Binary sensing matrices: weight-profile ensembles, Kirkman checks, file I/O.
 
-Stage-2 pooling matrices are sampled from fixed row/column weight profiles
-with distinct rows and columns.  Kirkman triple systems (resolvable designs
-whose columns are triples and whose classes partition the rows) are only
-verified here; a design to check is read from a matrix file.
+Stage-2 pooling matrices are sampled from fixed row/column weight profiles.
+Every profile asks for distinct columns (two samples with one row pattern
+cannot be told apart) and distinct rows (a repeated row is a wasted test).
+Kirkman triple systems (resolvable designs whose columns are triples and
+whose classes partition the rows) are only verified here; a design to check
+is read from a matrix file.
 """
 
 from __future__ import annotations
@@ -81,19 +83,39 @@ class SensingMatrix:
         return int(self.entries.sum(dtype=int))
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightProfile:
-    """Row/column weight multiplicities a sampled matrix must realize exactly.
+    """The contract of a stage-2 design: its row and column weight multiplicities.
 
     col_weights maps a column weight to the number of columns carrying it;
-    row_weights likewise for rows.  The ones counted column-wise must equal
-    the ones counted row-wise or no matrix exists.
+    row_weights likewise for rows.  A matrix realizes the profile when its
+    weights have exactly these multiplicities and its columns, and its rows,
+    are pairwise distinct.  The profile checks itself once, on construction:
+    weights and counts are integers, weights non-negative and counts
+    positive, the ones counted column-wise equal the ones counted row-wise,
+    and no weight exceeds the other side's length.
     """
 
     col_weights: dict[int, int]
     row_weights: dict[int, int]
-    distinct_cols: bool = True
-    distinct_rows: bool = True
+
+    def __post_init__(self):
+        for name in ("col_weights", "row_weights"):
+            for w, c in getattr(self, name).items():
+                # bool is a subclass of int, so a JSON true would otherwise pass as 1
+                if any(isinstance(v, bool) or not isinstance(v, int) for v in (w, c)):
+                    raise ValueError(f"{name}[{w!r}] is {c!r}; both must be integers")
+                if w < 0 or c <= 0:
+                    raise ValueError(f"{name}[{w}] is {c}; a weight must be >= 0, a count >= 1")
+        row_ones = sum(w * c for w, c in self.row_weights.items())
+        if self.total_ones != row_ones:
+            raise ValueError(
+                f"column ones ({self.total_ones}) and row ones ({row_ones}) disagree"
+            )
+        if any(w > self.m for w in self.col_weights):
+            raise ValueError("a column weight exceeds the number of rows")
+        if any(w > self.n for w in self.row_weights):
+            raise ValueError("a row weight exceeds the number of columns")
 
     @property
     def n(self) -> int:
@@ -106,21 +128,6 @@ class WeightProfile:
     @property
     def total_ones(self) -> int:
         return sum(w * c for w, c in self.col_weights.items())
-
-    def validate(self):
-        if any(w < 0 or c <= 0 for w, c in self.col_weights.items()) or any(
-            w < 0 or c <= 0 for w, c in self.row_weights.items()
-        ):
-            raise ValueError("weights must be non-negative with positive multiplicities")
-        row_ones = sum(w * c for w, c in self.row_weights.items())
-        if self.total_ones != row_ones:
-            raise ValueError(
-                f"column ones ({self.total_ones}) and row ones ({row_ones}) disagree"
-            )
-        if any(w > self.m for w in self.col_weights):
-            raise ValueError("a column weight exceeds the number of rows")
-        if any(w > self.n for w in self.row_weights):
-            raise ValueError("a row weight exceeds the number of columns")
 
 
 # The seven stage-2 designs shipped with the package.  Keyed by (rows, width):
@@ -191,30 +198,25 @@ def _has_duplicate_rows(entries: np.ndarray) -> bool:
     return len({row.tobytes() for row in entries}) != entries.shape[0]
 
 
-def profile_sample(
-    profile: WeightProfile,
-    m: int,
-    n: int,
-    rng: np.random.Generator,
-    max_attempts: int = 10_000,
-) -> SensingMatrix:
-    """Sample a matrix realizing `profile` exactly, uniformly-ish at random.
+# restarts profile_sample makes before it gives up
+_MAX_ATTEMPTS = 10_000
+
+
+def profile_sample(profile: WeightProfile, rng: np.random.Generator) -> SensingMatrix:
+    """Sample a profile.m x profile.n matrix realizing `profile`, uniformly-ish.
 
     Columns are filled one at a time, heaviest first, choosing each column's
     rows with probability proportional to the product of remaining row
-    capacities among patterns not yet used.  A Gale-Ryser check prunes
-    placements that strand the residual degree sequence; dead ends restart
-    the whole attempt.
+    capacities among the patterns no column of that weight uses yet.  A
+    Gale-Ryser check prunes placements that strand the residual degree
+    sequence; dead ends and duplicate rows restart the whole attempt.
 
     Each pattern is drawn exactly as ``rng.choice(len(weights), p=weights /
     weights.sum())`` would draw it: one ``rng.random()`` located in the
     normalized cumulative sum.  The generator's stream, and so every matrix
     a seed gives, is that of the ``Generator.choice`` formulation.
     """
-    profile.validate()
-    if profile.m != m or profile.n != n:
-        raise ValueError(f"profile is {profile.m}x{profile.n}, requested {m}x{n}")
-
+    m, n = profile.m, profile.n
     col_weight_list = np.array(
         [w for w, cnt in sorted(profile.col_weights.items()) for _ in range(cnt)], dtype=int
     )
@@ -223,30 +225,28 @@ def profile_sample(
     )
 
     last_reason = "no attempt ran"
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         col_assigned = rng.permutation(col_weight_list)
         caps = rng.permutation(row_weight_list).tolist()
         fill_order = np.argsort(-col_assigned, kind="stable").tolist()
         col_assigned = col_assigned.tolist()
         entries = np.zeros((m, n), dtype=np.uint8)
-        used = None
-        if profile.distinct_cols:
-            # columns of different weights never share a row pattern, so each
-            # weight flags its own patterns, by position in _row_patterns(m, w)
-            used = {w: np.zeros(len(_row_patterns(m, w)[0]), bool) for w in profile.col_weights}
+        # columns of different weights never share a row pattern, so each
+        # weight flags its own patterns, by position in _row_patterns(m, w)
+        used = {w: np.zeros(len(_row_patterns(m, w)[0]), bool) for w in profile.col_weights}
         ok = True
         rest_counts = {w: cnt for w, cnt in profile.col_weights.items() if w > 0}
         for c in fill_order:
             w = col_assigned[c]
             if w > 0:
                 rest_counts[w] -= 1
-            if not _place_column(entries, caps, used, c, w, rest_counts, rng):
+            if not _place_column(entries, caps, used[w], c, w, rest_counts, rng):
                 last_reason = f"dead end placing a weight-{w} column"
                 ok = False
                 break
         if not ok:
             continue
-        if profile.distinct_rows and _has_duplicate_rows(entries):
+        if _has_duplicate_rows(entries):
             last_reason = "duplicate rows"
             continue
         mat = SensingMatrix(entries)
@@ -255,29 +255,27 @@ def profile_sample(
             raise MatrixConstructionError(f"sampler produced an invalid matrix: {report}")
         return mat
     raise MatrixConstructionError(
-        f"gave up after {max_attempts} attempts (last failure: {last_reason})"
+        f"gave up after {_MAX_ATTEMPTS} attempts (last failure: {last_reason})"
     )
 
 
 def _place_column(entries, caps, used, c, w, rest_counts, rng) -> bool:
-    """Choose rows for column c; `rest_counts` holds the weights still to place.
+    """Choose rows for column c among the weight-w patterns `used` leaves free.
 
-    `caps` is the list of remaining row capacities, updated in place.
+    `caps` is the list of remaining row capacities and `used` flags the
+    weight-w patterns already placed; both are updated in place, as is
+    `rest_counts`, which holds the weights still to place.
     """
     if w == 0:
         # the one empty pattern; placing it draws nothing
-        if used is not None:
-            if used[0][0]:
-                return False
-            used[0][0] = True
+        if used[0]:
+            return False
+        used[0] = True
         return True
     combos, idx = _row_patterns(len(caps), w)
     # caps never go negative, so a product is 0 exactly when a row is full
     weights = np.array(caps)[idx].prod(axis=1)
-    valid = weights > 0
-    if used is not None:
-        valid &= ~used[w]
-    cand = valid.nonzero()[0]
+    cand = ((weights > 0) & ~used).nonzero()[0]
     weights = weights[cand].astype(float)
     while cand.shape[0]:
         # Generator.choice(len(weights), p=weights / weights.sum()), step by step
@@ -290,8 +288,7 @@ def _place_column(entries, caps, used, c, w, rest_counts, rng) -> bool:
             caps[r] -= 1
         if _gale_ryser_feasible(caps, rest_counts):
             entries[rows, c] = 1
-            if used is not None:
-                used[w][pick] = True
+            used[pick] = True
             return True
         for r in rows:
             caps[r] += 1
@@ -302,7 +299,6 @@ def _place_column(entries, caps, used, c, w, rest_counts, rng) -> bool:
 
 def verify_profile(mat: SensingMatrix, profile: WeightProfile) -> tuple[bool, str | None]:
     """Check a matrix against a weight profile; report the first violation."""
-    profile.validate()
     if mat.m != profile.m or mat.n != profile.n:
         return False, f"matrix is {mat.m}x{mat.n}, profile wants {profile.m}x{profile.n}"
     col_counts: dict[int, int] = {}
@@ -315,9 +311,9 @@ def verify_profile(mat: SensingMatrix, profile: WeightProfile) -> tuple[bool, st
         row_counts[int(w)] = row_counts.get(int(w), 0) + 1
     if row_counts != profile.row_weights:
         return False, f"row weight multiset {row_counts} != {profile.row_weights}"
-    if profile.distinct_cols and _has_duplicate_rows(mat.entries.T):
+    if _has_duplicate_rows(mat.entries.T):
         return False, "duplicate columns"
-    if profile.distinct_rows and _has_duplicate_rows(mat.entries):
+    if _has_duplicate_rows(mat.entries):
         return False, "duplicate rows"
     return True, None
 

@@ -449,12 +449,12 @@ def _newton_ascent(A, X, v, sig2, lo, hi):
 _CHUNK = 4096
 
 
-def _block_chunks(blocks, sizes, chunk: int = _CHUNK):
+def _block_chunks(blocks, sizes):
     """Yield candidate supports taking sizes[i] columns of blocks[i], as row arrays.
 
     The supports run through the product of each block's combinations in
     lexicographic order, the first block varying slowest.  Every later block
-    is listed in full; the first is read lazily, max(1, chunk // R) of its
+    is listed in full; the first is read lazily, max(1, _CHUNK // R) of its
     combinations per yield, R being the number of rows the later blocks give.
     """
     rest = None
@@ -463,7 +463,7 @@ def _block_chunks(blocks, sizes, chunk: int = _CHUNK):
         combos = combos.reshape(combos.shape[0] if k else 1, k)
         rest = combos if rest is None else _cross(rest, combos)
     it = itertools.combinations(blocks[0].tolist(), sizes[0])
-    step = max(1, chunk // (1 if rest is None else rest.shape[0]))
+    step = max(1, _CHUNK // (1 if rest is None else rest.shape[0]))
     while True:
         head = list(itertools.islice(it, step))
         if not head:

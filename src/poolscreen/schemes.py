@@ -103,16 +103,15 @@ class PartDiagnostic:
 @dataclass(frozen=True)
 class TrialOutcome:
     estimated_support: tuple[int, ...]
-    measurements_total: int
     measurements_stage1: int
     measurements_stage2: int
     pipetting_ops: int
     budget_flag: bool
     diagnostics: tuple[PartDiagnostic, ...] = ()
 
-    def __post_init__(self):
-        if self.measurements_total != self.measurements_stage1 + self.measurements_stage2:
-            raise ValueError("measurement totals disagree")
+    @property
+    def measurements_total(self) -> int:
+        return self.measurements_stage1 + self.measurements_stage2
 
 
 def partition_positive_pools(k_hats, kappa: int):
@@ -120,8 +119,8 @@ def partition_positive_pools(k_hats, kappa: int):
 
     k_hats must be non-increasing.  The first tau pools (those with counts
     above kappa) stay alone; the rest pair up consecutively, with a final
-    singleton when their number is odd.  Returns (parts, tau, r) where parts
-    hold 0-based positions into k_hats and r = ceil((t + tau) / 2).
+    singleton when their number is odd.  The parts hold 0-based positions
+    into k_hats; with tau solo pools there are ceil((t + tau) / 2) of them.
     """
     t = len(k_hats)
     if any(k_hats[i] < k_hats[i + 1] for i in range(t - 1)):
@@ -136,9 +135,8 @@ def partition_positive_pools(k_hats, kappa: int):
         else:
             parts.append((i,))
             i += 1
-    r = math.ceil((t + tau) / 2)
-    assert len(parts) == r
-    return parts, tau, r
+    assert len(parts) == math.ceil((t + tau) / 2)
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +178,7 @@ def _prevalence(cfg: SchemeConfig, t: int) -> float:
 def _stage2_matrix(cfg: SchemeConfig, rows: int, width: int, rng: np.random.Generator):
     if cfg.pin_builtin_matrices:
         return builtin_matrix(rows, width).entries.astype(np.float64)
-    profile = BUILTIN_PROFILES[(rows, width)]
-    return profile_sample(profile, rows, width, rng).entries.astype(np.float64)
+    return profile_sample(BUILTIN_PROFILES[(rows, width)], rng).entries.astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +194,6 @@ def run_individual(signal: Signal, noise: NoiseModel, rng: np.random.Generator) 
     assert meter.count == n
     return TrialOutcome(
         estimated_support=estimate,
-        measurements_total=n,
         measurements_stage1=n,
         measurements_stage2=0,
         pipetting_ops=n,
@@ -223,7 +219,6 @@ def run_dorfman(
     assert meter.count == cfg.q + t * cfg.s
     return TrialOutcome(
         estimated_support=tuple(sorted(estimate)),
-        measurements_total=cfg.q + t * cfg.s,
         measurements_stage1=cfg.q,
         measurements_stage2=t * cfg.s,
         pipetting_ops=cfg.n + t * cfg.s,
@@ -260,7 +255,6 @@ def _decode_part(
     # any keeps its own, which the decoder does not read
     counts = np.bincount(red.survivors // s, minlength=len(pools))
     ks = [max(1, min(k, int(c))) if c else k for k, c in zip(k_hats, counts)]
-    budget = False
     try:
         # the two entry points stay distinct so that a traced run can tell
         # single-pool decodes from mixed ones
@@ -272,13 +266,12 @@ def _decode_part(
             )
     except BudgetExceeded as err:
         res = err.result
-        budget = True
     diag = PartDiagnostic(
         pools=pools,
         k_hats=k_hats,
         stage2_rows=rows,
         scored_subsets=res.scored_count,
-        budget_hit=budget,
+        budget_hit=res.budget_exceeded,
         survivors=tuple(int(cols[j]) for j in red.survivors),
         converged=res.best is None or res.best.converged,
         no_survivors=red.s_star == 0,
@@ -312,7 +305,7 @@ def _run_adaptive(
     if cfg.scheme == "stamp":
         # heaviest pools first; ties keep the earlier pool first
         order = sorted(positives.tolist(), key=lambda l: (-k_hats[l], l))
-        parts, _, _ = partition_positive_pools([k_hats[l] for l in order], cfg.kappa)
+        parts = partition_positive_pools([k_hats[l] for l in order], cfg.kappa)
         parts = [tuple(order[i] for i in part) for part in parts]
     else:
         parts = [(l,) for l in positives.tolist()]
@@ -345,7 +338,6 @@ def _run_adaptive(
     assert meter.count == cfg.q + m2
     return TrialOutcome(
         estimated_support=tuple(sorted(estimate)),
-        measurements_total=cfg.q + m2,
         measurements_stage1=cfg.q,
         measurements_stage2=m2,
         pipetting_ops=pipetting,

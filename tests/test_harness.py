@@ -140,7 +140,6 @@ def test_score_trial_counts():
 def _outcome(m):
     return __import__("poolscreen.schemes", fromlist=["TrialOutcome"]).TrialOutcome(
         estimated_support=(),
-        measurements_total=m,
         measurements_stage1=m,
         measurements_stage2=0,
         pipetting_ops=m,
@@ -382,6 +381,42 @@ def test_cli_matrix_gen_and_verify(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_cli_matrix_profile_file_round_trip(tmp_path, capsys):
+    spec = tmp_path / "profile.json"
+    spec.write_text(json.dumps({"col_weights": {"3": 16, "4": 15}, "row_weights": {"18": 6}}))
+    out = tmp_path / "mat.txt"
+    assert main(["matrix", "gen", "--profile", str(spec), "--seed", "5", "--out", str(out)]) == 0
+    assert main(["matrix", "verify", str(out), "--profile", str(spec)]) == 0
+    assert "OK" in capsys.readouterr().out
+    # the file states the 6x31 builtin profile, and the same seed draws the same design
+    builtin = tmp_path / "builtin.txt"
+    assert main(["matrix", "gen", "--profile", "6x31", "--seed", "5", "--out", str(builtin)]) == 0
+    assert out.read_bytes() == builtin.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"col_weights": {"1": 2.5}, "row_weights": {"1": 2}}, "col_weights[1] is 2.5"),
+        ({"col_weights": {"1": 2}, "row_weights": {"1": True}}, "row_weights[1] is True"),
+        (
+            {"col_weights": {"1": 2}, "row_weights": {"1": 2}, "distinct_cols": False},
+            "exactly the keys col_weights and row_weights",
+        ),
+        ({"col_weights": {"1": 2}}, "exactly the keys col_weights and row_weights"),
+        ({"col_weights": {"x": 2}, "row_weights": {"1": 2}}, "invalid literal"),
+    ],
+    ids=["fractional_count", "bool_count", "leftover_key", "missing_key", "bad_weight"],
+)
+def test_cli_matrix_bad_profile_file_exits_2(tmp_path, capsys, raw, message):
+    spec = tmp_path / "profile.json"
+    spec.write_text(json.dumps(raw))
+    out = tmp_path / "mat.txt"
+    assert main(["matrix", "gen", "--profile", str(spec), "--seed", "1", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_matrix_gen_unknown_profile(tmp_path, capsys):
     out = tmp_path / "mat.txt"
     assert main(["matrix", "gen", "--profile", "99x99", "--seed", "1", "--out", str(out)]) == 2
@@ -442,6 +477,25 @@ def test_cli_decode_round_trip(tmp_path, capsys):
     assert 4 in payload["survivors"]
     assert payload["best_subset"] == [4]
     assert payload["budget_exceeded"] is False
+
+
+def test_cli_decode_reports_a_budget_hit(tmp_path, capsys):
+    mat = builtin_matrix(6, 31)
+    matrix_path = tmp_path / "design.txt"
+    save_matrix(mat, matrix_path)
+    loads = np.zeros(31)
+    loads[4] = 620.0  # 4 columns survive, so several supports are covered
+    meas_path = tmp_path / "readings.txt"
+    meas_path.write_text("\n".join(f"{v:.6f}" for v in mat.entries @ loads) + "\n")
+    argv = ["decode", "--matrix", str(matrix_path), "--measurements", str(meas_path)]
+    assert main([*argv, "--cap", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["budget_exceeded"] is True
+    assert payload["scored_subsets"] == 1
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["budget_exceeded"] is False
+    assert payload["scored_subsets"] > 1
 
 
 def test_cli_decode_length_mismatch(tmp_path, capsys):

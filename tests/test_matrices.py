@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from poolscreen import matrices
 from poolscreen.matrices import (
     BUILTIN_PROFILES,
     KirkmanParams,
@@ -68,38 +69,44 @@ def test_builtin_matrix_unknown_size():
 
 
 def test_builtin_profile_handshakes():
+    # the shipped profiles were built, and building one checks that its ones agree
     for profile in BUILTIN_PROFILES.values():
-        profile.validate()  # no exception: row and column ones agree
+        assert sum(w * c for w, c in profile.row_weights.items()) == profile.total_ones
 
 
 # ------------------------------------------------------------- sampling
 
 
-def test_profile_sample_all_ones_unique():
-    profile = WeightProfile(
-        col_weights={3: 3}, row_weights={3: 3}, distinct_cols=False, distinct_rows=False
-    )
-    mat = profile_sample(profile, 3, 3, np.random.default_rng(0))
-    assert np.all(mat.entries == 1)
-
-
 def test_profile_sample_rejects_handshake_violation():
-    profile = WeightProfile(col_weights={2: 3}, row_weights={1: 3})
-    with pytest.raises(ValueError):
-        profile_sample(profile, 3, 3, np.random.default_rng(0))
+    # no profile, and so no draw, exists when the ones disagree
+    with pytest.raises(ValueError, match="disagree"):
+        WeightProfile(col_weights={2: 3}, row_weights={1: 3})
 
 
-def test_profile_sample_rejects_wrong_shape():
-    profile = BUILTIN_PROFILES[(6, 31)]
-    with pytest.raises(ValueError):
-        profile_sample(profile, 7, 31, np.random.default_rng(0))
+@pytest.mark.parametrize(
+    "cols, rows, match",
+    [
+        ({2: 2.5}, {1: 5}, "integers"),
+        ({2: True}, {1: 2}, "integers"),
+        ({-1: 2}, {0: 1}, ">= 0"),
+        ({1: 0}, {0: 1}, ">= 1"),
+        ({2: 1, 0: 1}, {2: 1}, "exceeds the number of rows"),
+        ({2: 1}, {2: 1, 0: 1}, "exceeds the number of columns"),
+    ],
+    ids=["fractional_count", "bool_count", "negative_weight", "zero_count",
+         "column_weight_too_large", "row_weight_too_large"],
+)
+def test_weight_profile_checks_itself_on_construction(cols, rows, match):
+    with pytest.raises(ValueError, match=match):
+        WeightProfile(col_weights=cols, row_weights=rows)
 
 
-def test_profile_sample_infeasible_distinctness_gives_up():
+def test_profile_sample_infeasible_distinctness_gives_up(monkeypatch):
     # degree-feasible, but two weight-2 columns over 2 rows must coincide
+    monkeypatch.setattr(matrices, "_MAX_ATTEMPTS", 50)
     profile = WeightProfile(col_weights={2: 2}, row_weights={2: 2})
-    with pytest.raises(MatrixConstructionError):
-        profile_sample(profile, 2, 2, np.random.default_rng(0), max_attempts=50)
+    with pytest.raises(MatrixConstructionError, match="after 50 attempts"):
+        profile_sample(profile, np.random.default_rng(0))
 
 
 def _stream_digest(mats, rng) -> str:
@@ -134,7 +141,7 @@ def test_profile_sample_always_satisfies_profile(key):
     rng = np.random.default_rng(a_fixed := 2468)
     mats = []
     for _ in range(1000):
-        mat = profile_sample(profile, key[0], key[1], rng)
+        mat = profile_sample(profile, rng)
         ok, report = verify_profile(mat, profile)
         assert ok, report
         mats.append(mat)
@@ -156,21 +163,21 @@ def test_profile_sample_more_than_20_rows(seed):
     # among that weight's patterns, so the row count sets no limit
     profile = WeightProfile(col_weights={3: 14}, row_weights={2: 21})
     rng = np.random.default_rng(seed)
-    mat = profile_sample(profile, 21, 14, rng)
+    mat = profile_sample(profile, rng)
     ok, report = verify_profile(mat, profile)
     assert ok, report
     assert _stream_digest([mat], rng) == WIDE_STREAM_DIGESTS[seed]
     # 63 rows: one more than an int64 bitmask of the rows could hold
     square = WeightProfile(col_weights={2: 63}, row_weights={2: 63})
-    mat = profile_sample(square, 63, 63, np.random.default_rng(seed))
+    mat = profile_sample(square, np.random.default_rng(seed))
     ok, report = verify_profile(mat, square)
     assert ok, report
 
 
 def test_profile_sample_varies_with_seed():
     profile = BUILTIN_PROFILES[(6, 31)]
-    a = profile_sample(profile, 6, 31, np.random.default_rng(1))
-    b = profile_sample(profile, 6, 31, np.random.default_rng(2))
+    a = profile_sample(profile, np.random.default_rng(1))
+    b = profile_sample(profile, np.random.default_rng(2))
     assert not np.array_equal(a.entries, b.entries)
 
 

@@ -108,23 +108,16 @@ def test_mixed_budget_never_exceeds_separate_decoding():
 
 
 def test_partition_mixed_thresholds():
-    parts, tau, r = partition_positive_pools([4, 3, 2, 1, 1], kappa=2)
-    assert tau == 2
-    assert parts == [(0,), (1,), (2, 3), (4,)]
-    assert r == 4
+    # tau = 2 solo pools, then ceil((5 + 2) / 2) = 4 parts
+    assert partition_positive_pools([4, 3, 2, 1, 1], kappa=2) == [(0,), (1,), (2, 3), (4,)]
 
 
 def test_partition_all_below_threshold():
-    parts, tau, r = partition_positive_pools([2, 1, 1, 1], kappa=2)
-    assert tau == 0
-    assert parts == [(0, 1), (2, 3)]
-    assert r == 2
+    assert partition_positive_pools([2, 1, 1, 1], kappa=2) == [(0, 1), (2, 3)]
 
 
 def test_partition_single_pool():
-    parts, tau, r = partition_positive_pools([3], kappa=2)
-    assert parts == [(0,)]
-    assert r == 1
+    assert partition_positive_pools([3], kappa=2) == [(0,)]
 
 
 def test_partition_rejects_unsorted():
@@ -140,13 +133,13 @@ def test_partition_rejects_unsorted():
     kappa=st.integers(min_value=1, max_value=8),
 )
 def test_partition_is_an_ordered_partition(ks, kappa):
-    parts, tau, r = partition_positive_pools(ks, kappa)
+    parts = partition_positive_pools(ks, kappa)
     t = len(ks)
+    tau = sum(1 for k in ks if k > kappa)
     flat = [i for part in parts for i in part]
     assert flat == list(range(t))  # disjoint, covering, order-respecting
-    assert r == math.ceil((t + tau) / 2) == len(parts)
+    assert len(parts) == math.ceil((t + tau) / 2)
     assert all(len(part) <= 2 for part in parts)
-    assert tau == sum(1 for k in ks if k > kappa)
     for idx, part in enumerate(parts):
         if idx < tau:
             assert part == (idx,) and ks[idx] > kappa
@@ -370,18 +363,6 @@ def test_pinned_matrices_reproduce_exactly():
     out1 = run_scheme(signal, cfg, NOISE, np.random.default_rng(55))
     out2 = run_scheme(signal, cfg, NOISE, np.random.default_rng(55))
     assert out1 == out2
-
-
-def test_trial_outcome_checks_totals():
-    with pytest.raises(ValueError, match="totals"):
-        TrialOutcome(
-            estimated_support=(),
-            measurements_total=10,
-            measurements_stage1=5,
-            measurements_stage2=4,
-            pipetting_ops=0,
-            budget_flag=False,
-        )
 
 
 @settings(max_examples=60, deadline=None)
