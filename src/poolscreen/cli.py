@@ -75,12 +75,13 @@ def _build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decode", help="decode one pooled instance")
     dec.add_argument("--matrix", required=True)
     dec.add_argument("--measurements", required=True, help="one reading per line")
-    dec.add_argument("--alpha", type=float, default=0.9)
+    decoder, law = DecoderConfig(), UniformLoad()
+    dec.add_argument("--alpha", type=float, default=decoder.alpha)
     dec.add_argument("--prevalence", type=float, default=0.05)
     dec.add_argument("--sigma-eps", type=float, default=NoiseModel().sigma_eps)
-    dec.add_argument("--load-lo", type=float, default=1.0)
-    dec.add_argument("--load-hi", type=float, default=1000.0)
-    dec.add_argument("--cap", type=int, default=200_000, help="enumeration budget")
+    dec.add_argument("--load-lo", type=float, default=law.lo)
+    dec.add_argument("--load-hi", type=float, default=law.hi)
+    dec.add_argument("--cap", type=int, default=decoder.enumeration_cap, help="enumeration budget")
     return parser
 
 

@@ -34,6 +34,10 @@ SEED_DERIVATION = (
     " with alpha_bits the little-endian IEEE-754 hex of alpha, or 'none'"
 )
 
+# the defaults ExperimentConfig takes from the decoder and the load law
+_DECODER = DecoderConfig()
+_LAW = UniformLoad()
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -44,26 +48,34 @@ class ExperimentConfig:
     trials: int
     master_seed: int
     schemes: tuple[str, ...] = SCHEME_NAMES
-    alpha_values: tuple[float, ...] = (0.9,)
+    alpha_values: tuple[float, ...] = (_DECODER.alpha,)
     sigma_eps: float = NoiseModel().sigma_eps
-    load_lo: float = 1.0
-    load_hi: float = 1000.0
+    load_lo: float = _LAW.lo
+    load_hi: float = _LAW.hi
     kappa: int = 2
-    k_window: int = 1
-    enumeration_cap: int = 200_000
+    k_window: int = _DECODER.k_window
+    enumeration_cap: int = _DECODER.enumeration_cap
     pin_builtin_matrices: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "k_values", tuple(self.k_values))
         object.__setattr__(self, "schemes", tuple(self.schemes))
-        object.__setattr__(self, "alpha_values", tuple(float(a) for a in self.alpha_values))
+        alphas = tuple(self.alpha_values)
         names = ("n", "q", "s", "trials", "master_seed", "kappa", "k_window", "enumeration_cap")
         ints = [(name, getattr(self, name)) for name in names]
         ints += [(f"k_values[{i}]", k) for i, k in enumerate(self.k_values)]
-        for name, value in ints:
-            # bool is a subclass of int, so a JSON true would otherwise pass as 1
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        reals = [(name, getattr(self, name)) for name in ("sigma_eps", "load_lo", "load_hi")]
+        reals += [(f"alpha_values[{i}]", a) for i, a in enumerate(alphas)]
+        # bool is a subclass of int, so a JSON true would otherwise pass as 1
+        for kind, types, values in (("an integer", int, ints), ("a number", (int, float), reals)):
+            for name, value in values:
+                if isinstance(value, bool) or not isinstance(value, types):
+                    raise ValueError(f"{name} must be {kind}, got {value!r}")
+        pin = self.pin_builtin_matrices
+        if not isinstance(pin, bool):
+            # any non-empty string, "false" too, would pass as true
+            raise ValueError(f"pin_builtin_matrices must be a boolean, got {pin!r}")
+        object.__setattr__(self, "alpha_values", tuple(float(a) for a in alphas))
         if self.q * self.s != self.n:
             raise ValueError(f"q*s = {self.q * self.s} does not match n = {self.n}")
         if self.trials < 1:
@@ -117,7 +129,7 @@ class ExperimentConfig:
 
     def scheme_config(self, scheme: str, alpha: float | None) -> SchemeConfig:
         decoder = DecoderConfig(
-            alpha=0.9 if alpha is None else alpha,
+            alpha=_DECODER.alpha if alpha is None else alpha,
             k_window=self.k_window,
             enumeration_cap=self.enumeration_cap,
         )

@@ -11,6 +11,7 @@ is read from a matrix file.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -93,7 +94,8 @@ class WeightProfile:
     are pairwise distinct.  The profile checks itself once, on construction:
     weights and counts are integers, weights non-negative and counts
     positive, the ones counted column-wise equal the ones counted row-wise,
-    and no weight exceeds the other side's length.
+    no weight exceeds the other side's length, and no weight is asked of
+    more columns (rows) than there are distinct patterns of that weight.
     """
 
     col_weights: dict[int, int]
@@ -116,6 +118,13 @@ class WeightProfile:
             raise ValueError("a column weight exceeds the number of rows")
         if any(w > self.n for w in self.row_weights):
             raise ValueError("a row weight exceeds the number of columns")
+        for name, length in (("col_weights", self.m), ("row_weights", self.n)):
+            for w, c in getattr(self, name).items():
+                if c > math.comb(length, w):
+                    raise ValueError(
+                        f"{name}[{w}] is {c}, more than the C({length}, {w}) ="
+                        f" {math.comb(length, w)} distinct patterns of that weight"
+                    )
 
     @property
     def n(self) -> int:
@@ -391,7 +400,8 @@ def load_matrix(path) -> SensingMatrix:
     if not lines:
         raise MatrixParseError(1, "empty file")
     header = lines[0].split(" ")
-    if len(header) != 2 or not all(tok.isdigit() for tok in header):
+    # str.isdigit() alone passes digits like '²' that int() rejects
+    if len(header) != 2 or not all(tok.isascii() and tok.isdigit() for tok in header):
         raise MatrixParseError(1, f"header must be 'm n', got {lines[0]!r}")
     m, n = int(header[0]), int(header[1])
     if m < 1 or n < 1:

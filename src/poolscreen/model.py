@@ -10,7 +10,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,61 +43,52 @@ class UniformLoad:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=size)
 
-    def sum_density(self, k: int | np.ndarray, y) -> np.ndarray:
-        """Density of the sum of k independent loads, evaluated at y.
+    def sum_density(self, ks: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Density of the sum of k independent loads at the points y, one row per count.
 
-        k is one count, giving an array shaped like y, or a 1-D array of
-        counts, giving one row per count.  Exact piecewise polynomial
-        (Irwin-Hall rescaled from [0,1]^k) for k <= 12; a matched-moment
-        normal approximation beyond, where the alternating-sum form loses
-        too many digits to cancellation.
+        ks is a 1-D array of counts >= 1 and y a 1-D array.  Exact piecewise
+        polynomial (Irwin-Hall rescaled from [0,1]^k) for k <= 12; a
+        matched-moment normal approximation beyond, where the alternating-sum
+        form loses too many digits to cancellation.
         """
-        ks = np.asarray(k)
         if np.any(ks < 1):
             raise ValueError("k must be >= 1")
-        y = np.asarray(y, dtype=float)
-        rows = np.atleast_1d(ks)
-        kcol = rows.reshape((-1,) + (1,) * y.ndim)
+        kcol = ks[:, None]
         width = self.hi - self.lo
-        out = np.empty((rows.shape[0],) + y.shape)
-        exact = rows <= 12
+        out = np.empty((ks.shape[0], y.shape[0]))
+        exact = ks <= 12
         if exact.any():
             u = (y - kcol[exact] * self.lo) / width
-            out[exact] = _irwin_hall_pdf(u, rows[exact]) / width
+            out[exact] = _irwin_hall_pdf(u, ks[exact]) / width
         if not exact.all():
             kn = kcol[~exact]
             mean = kn * 0.5 * (self.lo + self.hi)
             var = kn * width * width / 12.0
             out[~exact] = np.exp(-0.5 * (y - mean) ** 2 / var) / np.sqrt(2.0 * math.pi * var)
-        return out.reshape(ks.shape + y.shape)
+        return out
 
 
-@lru_cache(maxsize=64)
-def _irwin_hall_terms(ks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Signed binomial coefficients (-1)^j C(k, j), j = 0..max k, and (k-1)!."""
-    top = max(ks)
-    coef = np.array([[(-1.0) ** j * math.comb(k, j) for j in range(top + 1)] for k in ks])
-    gamma = np.array([math.gamma(k) for k in ks])
-    coef.flags.writeable = gamma.flags.writeable = False
-    return coef, gamma
+# Irwin-Hall terms of the counts k = 1..12, row k - 1: (-1)^j C(k, j) for j = 0..12, and (k-1)!
+_IH_COEF = np.array([[(-1.0) ** j * math.comb(k, j) for j in range(13)] for k in range(1, 13)])
+_IH_GAMMA = np.array([math.gamma(k) for k in range(1, 13)])
 
 
-def _irwin_hall_pdf(x, k: int | np.ndarray) -> np.ndarray:
-    """Standard Irwin-Hall density (sum of k uniforms on [0,1]) at x.
+def _irwin_hall_pdf(x: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Standard Irwin-Hall density (sum of k uniforms on [0,1]) at x, one row per count.
 
     f(x) = 1/(k-1)! * sum_j (-1)^j C(k,j) max(x-j, 0)^(k-1); terms with
     j > floor(x) vanish through the max, so no explicit floor is needed.
-    k is one count, or a 1-D array of counts with one row of x per count.
-    Each row is summed over j in increasing order, as for its count alone.
+    ks is a 1-D array of counts in [1, 12]; x holds one row per count,
+    or one row for all.  Each row is summed over j in increasing order, as
+    for its count alone.
     """
-    x = np.asarray(x, dtype=float)
-    ks = np.asarray(k)
-    kcol = ks.reshape(ks.shape + (1,) * (x.ndim - ks.ndim))
-    coef, gamma = _irwin_hall_terms(tuple(int(v) for v in ks.flat))
+    kcol = ks[:, None]
+    coef, gamma = _IH_COEF[ks - 1], _IH_GAMMA[ks - 1, None]
     squared = kcol == 3  # numpy squares a scalar power of 2; an array power would not
     total = np.zeros(np.broadcast_shapes(kcol.shape, x.shape))
-    # terms with j >= max(x) are exact zeros, and adding them changes nothing
-    stop = coef.shape[1]
+    # terms with j > k, or with j >= max(x), are exact zeros, and adding them
+    # changes nothing
+    stop = int(ks.max()) + 1
     top = x.max(initial=-np.inf)
     if top < stop:
         stop = max(0, math.ceil(top))
@@ -106,9 +96,9 @@ def _irwin_hall_pdf(x, k: int | np.ndarray) -> np.ndarray:
         base = np.clip(x - j, 0.0, None)
         power = base ** (kcol - 1)
         np.copyto(power, np.square(base), where=squared)
-        total += coef[:, j].reshape(kcol.shape) * power
+        total += coef[:, j, None] * power
     # cancellation can leave tiny negative dust near the support edges
-    out = np.clip(total / gamma.reshape(kcol.shape), 0.0, None)
+    out = np.clip(total / gamma, 0.0, None)
     return np.where(kcol == 1, ((x >= 0.0) & (x <= 1.0)).astype(float), out)
 
 

@@ -111,25 +111,21 @@ _GH_X, _GH_W = np.polynomial.hermite.hermgauss(64)
 
 
 def sum_measurement_logpdf(
-    z: float, k: int | np.ndarray, law: UniformLoad, noise: NoiseModel
-) -> float | np.ndarray:
+    z: float, ks: np.ndarray, law: UniformLoad, noise: NoiseModel
+) -> np.ndarray:
     """Log density at z > 0 of (sum of k iid loads) times the noise factor.
 
-    k is one count, giving a float, or an array of counts, giving an array
-    of the same shape.  The noise is integrated out with Gauss-Hermite
-    quadrature in log space, all counts in one pass.
+    ks is a 1-D array of counts >= 1, giving one log density per count.  The
+    noise is integrated out with Gauss-Hermite quadrature in log space, all
+    counts in one pass.
     """
     if z <= 0:
         raise ValueError("z must be positive")
-    ks = np.asarray(k)
-    if np.any(ks < 1):
-        raise ValueError("k must be >= 1")
     u = math.sqrt(2.0) * noise.sigma_eps * _GH_X
     shrink = np.exp(-u)
-    fy = law.sum_density(ks.ravel(), z * shrink)
+    fy = law.sum_density(ks, z * shrink)
     vals = (_GH_W * fy * shrink).sum(axis=1) / _SQRT_PI
-    logs = np.array([math.log(v) if v > 0.0 else -math.inf for v in vals.tolist()])
-    return float(logs[0]) if ks.ndim == 0 else logs.reshape(ks.shape)
+    return np.array([math.log(v) if v > 0.0 else -math.inf for v in vals.tolist()])
 
 
 @lru_cache(maxsize=8)
@@ -485,15 +481,16 @@ def _list_decode(
     p: float,
     noise: NoiseModel,
     law: UniformLoad,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
 ) -> DecodeResult:
     """List decoding over survivor positions split into blocks, one per pool.
 
     Each block contributes a size window around its own count estimate
-    (k_hats[i] +- cfg.k_window, within [1, block size]); a block with no
-    survivors contributes size 0, and with no survivors at all the result is
-    empty.  Candidates are every choice of one size per block, and of that
-    many columns from each.
+    (k_hats[i] +- cfg.k_window, within [1, block size]); an estimate above
+    the block size reads as the block size, since more positives than
+    survivors means all of them.  A block with no survivors contributes size
+    0, and with no survivors at all the result is empty.  Candidates are
+    every choice of one size per block, and of that many columns from each.
 
     A candidate must pool every positive reading.  The covered ones count
     against cfg.enumeration_cap; once a covered candidate is left unscored,
@@ -511,13 +508,13 @@ def _list_decode(
         if size == 0:
             windows.append([0])
             continue
-        if not 1 <= k_hat <= size:
-            raise ValueError(f"k_hat must lie in [1, {size}], got {k_hat}")
+        if k_hat < 1:
+            raise ValueError(f"k_hat must be >= 1, got {k_hat}")
+        k_hat = min(k_hat, size)
         windows.append(range(max(k_hat - cfg.k_window, 1), min(k_hat + cfg.k_window, size) + 1))
     if reduced.s_star == 0:
         return DecodeResult((), None, 0, False)
 
-    rng = rng if rng is not None else np.random.default_rng(0)
     M = reduced.sub_matrix
     v = np.log(reduced.sub_measurements)  # (m*,)
     sig2 = noise.sigma_eps**2
@@ -595,11 +592,12 @@ def map_list_decode(
     p: float,
     noise: NoiseModel,
     law: UniformLoad,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> DecodeResult:
     """Score candidate supports of size k_hat and its neighbors; return the
     union of every candidate scoring within a factor alpha of the best.
-    With no survivors the result is empty.
+    A k_hat above the survivor count reads as that count; with no survivors
+    the result is empty.  rng draws the starts of the load search.
 
     Raises BudgetExceeded (carrying the partial result) past the cap.
     """
@@ -616,12 +614,13 @@ def map_list_decode_mixed(
     noise: NoiseModel,
     law: UniformLoad,
     half_width: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> DecodeResult:
     """List decoding over a two-pool combined instance.
 
     Candidate supports are built per half (columns below half_width belong
-    to the first pool), each half with its own count estimate.
+    to the first pool), each half with its own count estimate, read as in
+    map_list_decode.
     """
     left = reduced.survivors < half_width
     blocks = (np.flatnonzero(left), np.flatnonzero(~left))

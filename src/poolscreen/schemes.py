@@ -94,10 +94,13 @@ class PartDiagnostic:
     survivors: tuple[int, ...] = ()  # columns kept by the support reduction
     # whether the load search behind the best candidate met its tolerance
     converged: bool = True
-    # positive readings but no column survived the support reduction, so the
-    # part decodes to nothing; noise never zeroes a positive pool, so only
-    # real data (or a misread) gets here
-    no_survivors: bool = False
+
+    @property
+    def no_survivors(self) -> bool:
+        """Positive readings but no column survived the support reduction, so
+        the part decodes to nothing; noise never zeroes a positive pool, so
+        only real data (or a misread) gets here."""
+        return not self.survivors
 
 
 @dataclass(frozen=True)
@@ -251,18 +254,14 @@ def _decode_part(
     z2 = meter.read(mat @ signal_values[cols])
     decode_matrix = np.vstack([np.kron(np.eye(len(pools)), np.ones((1, s))), mat])
     red = comp(PoolInstance(decode_matrix, np.concatenate([z1, z2])))
-    # each count estimate clamped to its pool's survivors; a pool without
-    # any keeps its own, which the decoder does not read
-    counts = np.bincount(red.survivors // s, minlength=len(pools))
-    ks = [max(1, min(k, int(c))) if c else k for k, c in zip(k_hats, counts)]
     try:
         # the two entry points stay distinct so that a traced run can tell
         # single-pool decodes from mixed ones
         if len(pools) == 1:
-            res = map_list_decode(red, *ks, cfg.decoder, p, noise, cfg.load_law, rng=part_rng)
+            res = map_list_decode(red, *k_hats, cfg.decoder, p, noise, cfg.load_law, rng=part_rng)
         else:
             res = map_list_decode_mixed(
-                red, *ks, cfg.decoder, p, noise, cfg.load_law, half_width=s, rng=part_rng
+                red, *k_hats, cfg.decoder, p, noise, cfg.load_law, half_width=s, rng=part_rng
             )
     except BudgetExceeded as err:
         res = err.result
@@ -274,7 +273,6 @@ def _decode_part(
         budget_hit=res.budget_exceeded,
         survivors=tuple(int(cols[j]) for j in red.survivors),
         converged=res.best is None or res.best.converged,
-        no_survivors=red.s_star == 0,
     )
     return [int(cols[j]) for j in res.estimate], diag, int(mat.sum())
 

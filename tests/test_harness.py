@@ -349,12 +349,17 @@ _GOOD = _mini_config().to_dict()
         {**_GOOD, "sigma_eps": math.nan},
         {**_GOOD, "sigma_eps": math.inf},
         {**_GOOD, "load_hi": math.inf},
+        {**_GOOD, "pin_builtin_matrices": "false"},
+        {**_GOOD, "sigma_eps": True},
+        {**_GOOD, "load_lo": True},
+        {**_GOOD, "alpha_values": [True]},
     ],
     ids=[
         "unknown_key", "k_window", "enumeration_cap", "kappa", "sigma_eps", "load_box",
         "trials", "stap_width", "n_float", "q_float", "s_float", "k_float", "trials_bool",
         "master_seed_float", "kappa_float", "k_window_float", "enumeration_cap_float",
-        "sigma_eps_nan", "sigma_eps_inf", "load_hi_inf",
+        "sigma_eps_nan", "sigma_eps_inf", "load_hi_inf", "pin_string", "sigma_eps_bool",
+        "load_lo_bool", "alpha_bool",
     ],
 )
 def test_cli_simulate_bad_config_exits_2(tmp_path, capsys, raw):

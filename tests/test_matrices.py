@@ -92,9 +92,12 @@ def test_profile_sample_rejects_handshake_violation():
         ({1: 0}, {0: 1}, ">= 1"),
         ({2: 1, 0: 1}, {2: 1}, "exceeds the number of rows"),
         ({2: 1}, {2: 1, 0: 1}, "exceeds the number of columns"),
+        ({1: 4}, {2: 2}, r"col_weights\[1\] is 4, more than the C\(2, 1\) = 2"),
+        ({2: 1}, {1: 2}, r"row_weights\[1\] is 2, more than the C\(1, 1\) = 1"),
     ],
     ids=["fractional_count", "bool_count", "negative_weight", "zero_count",
-         "column_weight_too_large", "row_weight_too_large"],
+         "column_weight_too_large", "row_weight_too_large", "too_many_columns_of_a_weight",
+         "too_many_rows_of_a_weight"],
 )
 def test_weight_profile_checks_itself_on_construction(cols, rows, match):
     with pytest.raises(ValueError, match=match):
@@ -102,9 +105,11 @@ def test_weight_profile_checks_itself_on_construction(cols, rows, match):
 
 
 def test_profile_sample_infeasible_distinctness_gives_up(monkeypatch):
-    # degree-feasible, but two weight-2 columns over 2 rows must coincide
+    # degree-feasible, and no weight is asked of more columns or rows than it
+    # has patterns; but six distinct weight-2 columns over 4 rows are all the
+    # pairs, which put every row at weight 3
     monkeypatch.setattr(matrices, "_MAX_ATTEMPTS", 50)
-    profile = WeightProfile(col_weights={2: 2}, row_weights={2: 2})
+    profile = WeightProfile(col_weights={2: 6}, row_weights={2: 1, 3: 2, 4: 1})
     with pytest.raises(MatrixConstructionError, match="after 50 attempts"):
         profile_sample(profile, np.random.default_rng(0))
 
@@ -282,6 +287,7 @@ def test_save_load_round_trip(tmp_path):
         ("2 2\n1 0\n0 1\n1 1\n", 4),  # extra row
         ("2  2\n1 0\n0 1\n", 1),  # double space in header
         ("2 x\n1 0\n0 1\n", 1),  # non-numeric header
+        ("2 \u00b2\n1 0\n0 1\n", 1),  # a digit that is not ASCII
         ("2 2\n1 0\n0 2\n", 3),  # entry out of alphabet
         ("2 2\n1 0\n0  1\n", 3),  # double space between entries
         ("2 2\n10\n0 1\n", 2),  # fused tokens

@@ -96,25 +96,37 @@ def test_noise_model_validation():
 
 def test_uniform_load_sum_density_k1():
     law = UniformLoad(1.0, 1000.0)
-    assert law.sum_density(1, 500.0) == pytest.approx(1.0 / 999.0, rel=1e-12)
-    assert law.sum_density(1, 0.5) == 0.0
-    assert law.sum_density(1, 1000.5) == 0.0
+    got = law.sum_density(np.array([1]), np.array([500.0, 0.5, 1000.5]))[0]
+    assert got[0] == pytest.approx(1.0 / 999.0, rel=1e-12)
+    assert got[1] == 0.0
+    assert got[2] == 0.0
 
 
 def test_uniform_load_sum_density_k2_triangle():
     # oracle: sum of two U[1,1000] has the triangle density peaking at 1001
     law = UniformLoad(1.0, 1000.0)
     w = 999.0
-    assert law.sum_density(2, 1001.0) == pytest.approx(1.0 / w, rel=1e-10)
-    for y in (500.0, 800.0, 1400.0, 1900.0):
+    ys = np.array([1001.0, 500.0, 800.0, 1400.0, 1900.0])
+    got = law.sum_density(np.array([2]), ys)[0]
+    assert got[0] == pytest.approx(1.0 / w, rel=1e-10)
+    for y, g in zip(ys[1:], got[1:]):
         expected = (w - abs(y - 1001.0)) / w**2 if abs(y - 1001.0) < w else 0.0
-        assert law.sum_density(2, y) == pytest.approx(expected, rel=1e-9, abs=1e-15)
+        assert g == pytest.approx(expected, rel=1e-9, abs=1e-15)
+
+
+def test_sum_density_gives_one_row_per_count():
+    law = UniformLoad(1.0, 1000.0)
+    ks, ys = np.array([1, 2, 3, 12, 13, 31]), np.array([30.0, 1700.0, 2500.0, 9000.0])
+    got = law.sum_density(ks, ys)
+    assert got.shape == (6, 4)
+    for k, row in zip(ks, got):
+        assert np.array_equal(row, law.sum_density(np.array([k]), ys)[0])
 
 
 def test_irwin_hall_integrates_to_one():
     for k in (3, 7, 12):
         x = np.linspace(0.0, k, 20_001)
-        total = np.trapezoid(_irwin_hall_pdf(x, k), x)
+        total = np.trapezoid(_irwin_hall_pdf(x, np.array([k]))[0], x)
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
@@ -124,7 +136,7 @@ def test_sum_density_normal_regime_matches_moments():
     k = 20
     mean = k * 500.5
     var = k * 999.0**2 / 12.0
-    got = law.sum_density(k, mean)
+    [[got]] = law.sum_density(np.array([k]), np.array([mean]))
     assert got == pytest.approx(1.0 / math.sqrt(2 * math.pi * var), rel=1e-12)
 
 

@@ -181,16 +181,18 @@ def _oracle_count_logpost(z1, s, p, noise, ks):
 
 def test_sum_logpdf_closed_form_single_load():
     # one load, reading deep inside the box: density is E[1/eps]/999 exactly
-    got = sum_measurement_logpdf(30.0, 1, LAW, NOISE)
+    [got] = sum_measurement_logpdf(30.0, np.array([1]), LAW, NOISE)
     want = -math.log(999.0) + NOISE.sigma_eps**2 / 2.0
     assert got == pytest.approx(want, abs=1e-12)
+    with pytest.raises(ValueError, match="k must be"):
+        sum_measurement_logpdf(30.0, np.array([1, 0]), LAW, NOISE)
 
 
 def test_sum_logpdf_matches_quadrature_oracle():
     # quadrature tolerance is loosest where the sum density kinks (small k)
     for k, z, tol in [(1, 30.0, 1e-9), (2, 1700.0, 2e-3), (3, 2900.0, 2e-3),
                       (5, 2444.5, 2e-3), (14, 7777.0, 5e-2)]:
-        got = sum_measurement_logpdf(z, k, LAW, NOISE)
+        [got] = sum_measurement_logpdf(z, np.array([k]), LAW, NOISE)
         want = _oracle_count_logpost(z, 31, 0.5, NOISE, [k])[0]
         want -= math.log(math.comb(31, k) * 0.5**31)
         assert got == pytest.approx(want, abs=tol)
@@ -278,17 +280,6 @@ def test_count_posterior_equals_per_count_reference():
                 assert np.array_equal(got, want), (z, s, p)
 
 
-def test_sum_logpdf_takes_one_count_or_an_array():
-    ks = np.array([[1, 2, 3], [12, 13, 31]])
-    got = sum_measurement_logpdf(2500.0, ks, LAW, NOISE)
-    assert got.shape == ks.shape
-    want = [[sum_measurement_logpdf(2500.0, int(k), LAW, NOISE) for k in row] for row in ks]
-    assert np.array_equal(got, np.array(want))
-    assert isinstance(sum_measurement_logpdf(2500.0, 3, LAW, NOISE), float)
-    with pytest.raises(ValueError, match="k must be"):
-        sum_measurement_logpdf(2500.0, np.array([1, 0]), LAW, NOISE)
-
-
 # ---------------------------------------------------------------------------
 # subset scoring
 
@@ -305,7 +296,9 @@ def _single_row_reduced(z):
 def test_score_single_column_matches_grid_search():
     z, p = 5.0, 0.01
     cfg = DecoderConfig(alpha=1.0, k_window=0)
-    res = map_list_decode(_single_row_reduced(z), 1, cfg, p, NOISE, LAW)
+    res = map_list_decode(
+        _single_row_reduced(z), 1, cfg, p, NOISE, LAW, rng=np.random.default_rng(0)
+    )
     grid = np.arange(1.0, 1000.0 + 0.0005, 0.001)
     vals = EPS.logpdf(z / grid)
     best = int(np.argmax(vals))
@@ -320,7 +313,9 @@ def test_score_zero_when_row_uncovered():
     # candidate is scored and nothing explains the readings
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
     red = comp(PoolInstance(a, np.array([4.0, 7.0])))
-    res = map_list_decode(red, 1, DecoderConfig(k_window=0), 0.1, NOISE, LAW)
+    res = map_list_decode(
+        red, 1, DecoderConfig(k_window=0), 0.1, NOISE, LAW, rng=np.random.default_rng(0)
+    )
     assert res.scored_count == 0
     assert res.best is None and res.estimate == ()
 
@@ -585,7 +580,9 @@ def test_decode_alpha_one_returns_unique_argmax():
     x = np.zeros(31)
     x[[4, 17]] = [300.0, 88.0]
     red = comp(_exact_instance(mat, x))
-    res = map_list_decode(red, 2, DecoderConfig(alpha=1.0), 0.05, QUIET, LAW)
+    res = map_list_decode(
+        red, 2, DecoderConfig(alpha=1.0), 0.05, QUIET, LAW, rng=np.random.default_rng(0)
+    )
     assert res.estimate == (4, 17)
     assert res.best.subset == (4, 17)
 
@@ -627,7 +624,7 @@ def test_decode_exact_on_noiseless_distinguishable_instances():
             and min(others, default=1.0) > 3e-3
             and min(singles, default=1.0) > 3e-3
         )
-        res = map_list_decode(red, 2, cfg, 0.05, QUIET, LAW)
+        res = map_list_decode(red, 2, cfg, 0.05, QUIET, LAW, rng=np.random.default_rng(0))
         if distinguishable:
             assert res.estimate == tuple(int(c) for c in sup)
             hits += 1
@@ -638,7 +635,9 @@ def test_decode_alpha_near_zero_unions_every_candidate():
     a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
     z = np.array([40.0, 70.0])
     red = comp(PoolInstance(a, z))
-    res = map_list_decode(red, 1, DecoderConfig(alpha=1e-12), 0.3, NOISE, LAW)
+    res = map_list_decode(
+        red, 1, DecoderConfig(alpha=1e-12), 0.3, NOISE, LAW, rng=np.random.default_rng(0)
+    )
     # oracle: every subset of sizes 1..2 whose columns cover both rows
     covering = []
     for size in (1, 2):
@@ -679,7 +678,7 @@ def test_decode_budget_overflow_carries_partial_result():
     red = comp(_instance(mat, x, NOISE, rng))
     cfg = DecoderConfig(alpha=0.9, enumeration_cap=10)
     with pytest.raises(BudgetExceeded) as err:
-        map_list_decode(red, 4, cfg, 0.05, NOISE, LAW)
+        map_list_decode(red, 4, cfg, 0.05, NOISE, LAW, rng=np.random.default_rng(0))
     partial = err.value.result
     assert partial.budget_exceeded
     assert partial.scored_count == 10
@@ -695,7 +694,7 @@ def test_decode_meeting_the_cap_exactly_is_no_budget_hit():
 
     def decode(cap):
         cfg = DecoderConfig(alpha=0.9, k_window=0, enumeration_cap=cap)
-        return map_list_decode(red, 2, cfg, 0.05, NOISE, LAW)
+        return map_list_decode(red, 2, cfg, 0.05, NOISE, LAW, rng=np.random.default_rng(0))
 
     roomy = decode(92)
     exact = decode(91)
@@ -711,7 +710,10 @@ def test_decoding_needs_prevalence_strictly_inside_0_1(p):
     with pytest.raises(ValueError, match="p must lie"):
         count_log_posterior(50.0, 31, p, NOISE, LAW)
     with pytest.raises(ValueError, match="p must lie"):
-        map_list_decode(_single_row_reduced(5.0), 1, DecoderConfig(), p, NOISE, LAW)
+        map_list_decode(
+            _single_row_reduced(5.0), 1, DecoderConfig(), p, NOISE, LAW,
+            rng=np.random.default_rng(0),
+        )
 
 
 def test_decode_is_deterministic():
@@ -721,8 +723,8 @@ def test_decode_is_deterministic():
     x[rng.choice(31, size=3, replace=False)] = rng.uniform(1.0, 1000.0, size=3)
     red = comp(_instance(mat, x, NOISE, rng))
     cfg = DecoderConfig(alpha=0.9)
-    a = map_list_decode(red, 3, cfg, 0.05, NOISE, LAW)
-    b = map_list_decode(red, 3, cfg, 0.05, NOISE, LAW)
+    a = map_list_decode(red, 3, cfg, 0.05, NOISE, LAW, rng=np.random.default_rng(0))
+    b = map_list_decode(red, 3, cfg, 0.05, NOISE, LAW, rng=np.random.default_rng(0))
     assert a == b
 
 
@@ -730,17 +732,48 @@ def test_decode_validates_k_hat_and_empty_reduction():
     red = _single_row_reduced(5.0)
     cfg = DecoderConfig()
     with pytest.raises(ValueError):
-        map_list_decode(red, 0, cfg, 0.1, NOISE, LAW)
-    with pytest.raises(ValueError):
-        map_list_decode(red, 2, cfg, 0.1, NOISE, LAW)
+        map_list_decode(red, 0, cfg, 0.1, NOISE, LAW, rng=np.random.default_rng(0))
 
 
 def test_decode_window_clips_at_survivor_count():
     # two survivors, k_hat = 2: window is {1, 2} and never requests size 3
     a = np.array([[1.0, 1.0], [1.0, 0.0]])
     red = comp(PoolInstance(a, np.array([30.0, 10.0])))
-    res = map_list_decode(red, 2, DecoderConfig(alpha=0.5), 0.3, NOISE, LAW)
+    res = map_list_decode(
+        red, 2, DecoderConfig(alpha=0.5), 0.3, NOISE, LAW, rng=np.random.default_rng(0)
+    )
     assert res.scored_count == 2  # {0} and {0,1}; {1} leaves row 1 uncovered
+
+
+def test_decode_reads_k_hat_above_survivors_as_all_of_them():
+    # more positives than survivors means all of them: an estimate above a
+    # block's survivor count decodes exactly like one equal to it
+    rng = np.random.default_rng(4)
+    x = np.zeros(31)
+    x[rng.choice(31, size=3, replace=False)] = rng.uniform(1.0, 1000.0, size=3)
+    red = comp(_instance(builtin_matrix(5, 31).entries, x, NOISE, rng))
+    cfg = DecoderConfig()
+
+    def single(k):
+        return map_list_decode(red, k, cfg, 0.05, NOISE, LAW, rng=np.random.default_rng(0))
+
+    assert single(red.s_star + 4) == single(red.s_star)
+    assert single(red.s_star).best is not None
+
+    x = np.zeros(62)
+    x[[2, 11, 40]] = [300.0, 45.0, 820.0]
+    red = comp(_instance(_mixed_matrix(), x, NOISE, rng, stage1=False))
+    left = int((red.survivors < 31).sum())
+    right = red.s_star - left
+
+    def mixed(ka, kb):
+        return map_list_decode_mixed(
+            red, ka, kb, cfg, 0.05, NOISE, LAW, half_width=31, rng=np.random.default_rng(0)
+        )
+
+    assert mixed(left + 3, right + 1) == mixed(left, right)
+    assert mixed(left, right + 2) == mixed(left, right)
+    assert mixed(left, right).best is not None
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +799,9 @@ def test_mixed_decode_recovers_one_per_half_noiseless():
         right = int(rng.integers(31, 62))
         x[[left, right]] = rng.uniform(1.0, 1000.0, size=2)
         red = comp(PoolInstance(_mixed_matrix(), _mixed_matrix() @ x))
-        res = map_list_decode_mixed(red, 1, 1, cfg, 0.03, QUIET, LAW, half_width=31)
+        res = map_list_decode_mixed(
+            red, 1, 1, cfg, 0.03, QUIET, LAW, half_width=31, rng=np.random.default_rng(0)
+        )
         assert set(res.estimate) >= {left, right}
         if res.estimate == (left, right):
             exact += 1
@@ -780,8 +815,10 @@ def test_mixed_decode_empty_half_matches_single_decode():
     red = comp(PoolInstance(a, a @ x))
     assert np.all(red.survivors < 31)  # right half emptied by its own row
     cfg = DecoderConfig(alpha=0.8)
-    mixed = map_list_decode_mixed(red, 2, 1, cfg, 0.03, QUIET, LAW, half_width=31)
-    single = map_list_decode(red, 2, cfg, 0.03, QUIET, LAW)
+    mixed = map_list_decode_mixed(
+        red, 2, 1, cfg, 0.03, QUIET, LAW, half_width=31, rng=np.random.default_rng(0)
+    )
+    single = map_list_decode(red, 2, cfg, 0.03, QUIET, LAW, rng=np.random.default_rng(0))
     assert mixed.estimate == single.estimate
 
 
@@ -794,7 +831,10 @@ def test_mixed_decode_validates_half_counts():
     z = np.where(y > 0, y * np.exp(rng.normal(0.0, NOISE.sigma_eps, size=y.shape)), 0.0)
     red = comp(PoolInstance(a, z))
     with pytest.raises(ValueError):
-        map_list_decode_mixed(red, 0, 1, DecoderConfig(), 0.03, NOISE, LAW, half_width=31)
+        map_list_decode_mixed(
+            red, 0, 1, DecoderConfig(), 0.03, NOISE, LAW, half_width=31,
+            rng=np.random.default_rng(0),
+        )
 
 
 # ---------------------------------------------------------------------------
