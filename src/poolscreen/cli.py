@@ -128,6 +128,8 @@ def _load_matrix_file(path: str) -> SensingMatrix:
 
 def _cmd_simulate(args) -> int:
     raw = _load_json(args.config)
+    if not isinstance(raw, dict):
+        raise _CliError(f"bad config: {args.config} must hold a JSON object", EXIT_CONFIG)
     if args.seed is not None:
         raw["master_seed"] = args.seed
     try:
@@ -149,6 +151,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_matrix_gen(args) -> int:
+    if args.seed < 0:
+        raise _CliError(f"--seed must be non-negative, got {args.seed}", EXIT_CONFIG)
     profile = _resolve_profile(args.profile)
     rng = np.random.default_rng(args.seed)
     try:
@@ -232,7 +236,7 @@ def _cmd_decode(args) -> int:
         # window k_hat +- n covers every support size the survivors allow
         try:
             decode = map_list_decode(
-                reduced, 1, cfg, args.prevalence, noise, law, rng=np.random.default_rng(0)
+                reduced, (1,), mat.n, cfg, args.prevalence, noise, law, np.random.default_rng(0)
             )
         except BudgetExceeded as err:
             decode = err.result

@@ -337,8 +337,7 @@ def _optimize_loads(A, v, sig2, lo, hi, rng: np.random.Generator):
     converged, per instance.
     """
     N, m, k = A.shape
-    S = _STARTS
-    starts = rng.uniform(lo, hi, size=(N, S - 1, k)) if S > 1 else np.empty((N, 0, k))
+    starts = rng.uniform(lo, hi, size=(N, _STARTS - 1, k))
     if k == 1:
         X = np.full((N, 1), min(max(math.exp(v.mean() + sig2), lo), hi))
         return _load_objective(A, X, v, sig2)[0], X, np.ones(N, dtype=bool)
@@ -351,15 +350,16 @@ def _optimize_loads(A, v, sig2, lo, hi, rng: np.random.Generator):
     x0 = np.einsum("nmk,nm->nk", A, shares) / np.maximum(colw, 1.0)
     x0[colw == 0] = 0.5 * (lo + hi)
     np.clip(x0, lo, hi, out=x0)
-    X = np.concatenate([x0[:, None, :], starts], axis=1)  # (N, S, k)
-    G = np.empty((N, S))
-    settled = np.empty((N, S), dtype=bool)
+    X = np.concatenate([x0[:, None, :], starts], axis=1)  # (N, _STARTS, k)
+    G = np.empty((N, _STARTS))
+    settled = np.empty((N, _STARTS), dtype=bool)
     for first in range(0, N, _NEWTON_BLOCK):
         block = slice(first, first + _NEWTON_BLOCK)
         n = X[block].shape[0]
-        g, x, c = _newton_ascent(np.repeat(A[block], S, axis=0), X[block].reshape(n * S, k),
-                                 v, sig2, lo, hi)
-        G[block], X[block], settled[block] = g.reshape(n, S), x.reshape(n, S, k), c.reshape(n, S)
+        g, x, c = _newton_ascent(np.repeat(A[block], _STARTS, axis=0),
+                                 X[block].reshape(n * _STARTS, k), v, sig2, lo, hi)
+        G[block], X[block], settled[block] = (
+            g.reshape(n, _STARTS), x.reshape(n, _STARTS, k), c.reshape(n, _STARTS))
     best = G.argmax(axis=1)
     rows = np.arange(N)
     return G[rows, best], X[rows, best], settled[rows, best]
@@ -473,24 +473,28 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([np.repeat(a, b.shape[0], axis=0), np.tile(b, (a.shape[0], 1))], axis=1)
 
 
-def _list_decode(
+def map_list_decode(
     reduced: ReducedInstance,
-    blocks,
     k_hats,
+    width: int,
     cfg: DecoderConfig,
     p: float,
     noise: NoiseModel,
     law: UniformLoad,
     rng: np.random.Generator,
 ) -> DecodeResult:
-    """List decoding over survivor positions split into blocks, one per pool.
+    """Score candidate supports around the count estimates; return the union
+    of every candidate scoring within a factor alpha of the best.
 
-    Each block contributes a size window around its own count estimate
-    (k_hats[i] +- cfg.k_window, within [1, block size]); an estimate above
-    the block size reads as the block size, since more positives than
-    survivors means all of them.  A block with no survivors contributes size
-    0, and with no survivors at all the result is empty.  Candidates are
-    every choice of one size per block, and of that many columns from each.
+    The decoded instance reads len(k_hats) pools side by side, width columns
+    each: survivor j belongs to block survivors[j] // width, and a survivor
+    past the last block raises ValueError.  Each block contributes a size
+    window around its own count estimate (k_hats[i] +- cfg.k_window, within
+    [1, block size]); an estimate above the block size reads as the block
+    size, since more positives than survivors means all of them.  A block
+    with no survivors contributes size 0, and with no survivors at all the
+    result is empty.  Candidates are every choice of one size per block, and
+    of that many columns from each.  rng draws the starts of the load search.
 
     A candidate must pool every positive reading.  The covered ones count
     against cfg.enumeration_cap; once a covered candidate is left unscored,
@@ -502,6 +506,11 @@ def _list_decode(
         raise ValueError("decoding needs at least one positive reading")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
+    if np.any(reduced.survivors >= len(k_hats) * width):
+        last = int(reduced.survivors.max())
+        raise ValueError(f"survivor {last} lies past the {len(k_hats)} x {width} block columns")
+    block_of = reduced.survivors // width
+    blocks = [np.flatnonzero(block_of == i) for i in range(len(k_hats))]
     windows = []
     for k_hat, block in zip(k_hats, blocks):
         size = block.shape[0]
@@ -583,45 +592,3 @@ def _list_decode(
     if exceeded:
         raise BudgetExceeded(result)
     return result
-
-
-def map_list_decode(
-    reduced: ReducedInstance,
-    k_hat: int,
-    cfg: DecoderConfig,
-    p: float,
-    noise: NoiseModel,
-    law: UniformLoad,
-    rng: np.random.Generator,
-) -> DecodeResult:
-    """Score candidate supports of size k_hat and its neighbors; return the
-    union of every candidate scoring within a factor alpha of the best.
-    A k_hat above the survivor count reads as that count; with no survivors
-    the result is empty.  rng draws the starts of the load search.
-
-    Raises BudgetExceeded (carrying the partial result) past the cap.
-    """
-    pool = np.arange(reduced.s_star, dtype=np.intp)
-    return _list_decode(reduced, (pool,), (k_hat,), cfg, p, noise, law, rng)
-
-
-def map_list_decode_mixed(
-    reduced: ReducedInstance,
-    k_hat_a: int,
-    k_hat_b: int,
-    cfg: DecoderConfig,
-    p: float,
-    noise: NoiseModel,
-    law: UniformLoad,
-    half_width: int,
-    rng: np.random.Generator,
-) -> DecodeResult:
-    """List decoding over a two-pool combined instance.
-
-    Candidate supports are built per half (columns below half_width belong
-    to the first pool), each half with its own count estimate, read as in
-    map_list_decode.
-    """
-    left = reduced.survivors < half_width
-    blocks = (np.flatnonzero(left), np.flatnonzero(~left))
-    return _list_decode(reduced, blocks, (k_hat_a, k_hat_b), cfg, p, noise, law, rng)

@@ -5,7 +5,8 @@ individual testing skips pooling entirely, Dorfman retests positive pools
 one sample at a time, and the adaptive schemes spend a small coded second
 stage per part: one positive pool (stap1 with a fixed row count, stap2 with
 one sized by the pool's count estimate), or, in stamp, a pair of sparse pools
-mixed into one read.  Every part, one pool or two, runs through _decode_part.
+mixed into one read.  Every part, one pool or two, is read through one coded
+matrix and decoded as one instance whose column blocks are its pools.
 Pipetting counts one operation per 1-entry of each executed sensing row.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,10 +28,15 @@ from .recovery import (
     estimate_pool_count,
     estimate_prevalence,
     map_list_decode,
-    map_list_decode_mixed,
 )
 
 logger = logging.getLogger(__name__)
+
+# One decoder under two names: a solo part calls map_list_decode and a mixed
+# pair map_list_decode_mixed, each looked up on this module at call time, so
+# that a traced run can wrap the two names separately and split single-pool
+# decodes from mixed ones.
+map_list_decode_mixed = map_list_decode
 
 SCHEME_NAMES = ("individual", "dorfman", "stap1", "stap2", "stamp")
 # the schemes whose stage 2 is a coded design that a decoder reads
@@ -94,13 +100,6 @@ class PartDiagnostic:
     survivors: tuple[int, ...] = ()  # columns kept by the support reduction
     # whether the load search behind the best candidate met its tolerance
     converged: bool = True
-
-    @property
-    def no_survivors(self) -> bool:
-        """Positive readings but no column survived the support reduction, so
-        the part decodes to nothing; noise never zeroes a positive pool, so
-        only real data (or a misread) gets here."""
-        return not self.survivors
 
 
 @dataclass(frozen=True)
@@ -229,54 +228,6 @@ def run_dorfman(
     )
 
 
-def _decode_part(
-    pools: tuple[int, ...],
-    k_hats: tuple[int, ...],
-    rows: int,
-    z1: np.ndarray,
-    signal_values: np.ndarray,
-    cfg: SchemeConfig,
-    p: float,
-    noise: NoiseModel,
-    part_rng: np.random.Generator,
-    meter: _Meter,
-):
-    """Run one part's coded stage 2 and decode it; one pool, or two mixed.
-
-    The pools' columns are read together through one rows x (|pools| * s)
-    matrix, and decoded with their stage-1 readings z1 as one instance whose
-    column blocks are the pools.  Returns (columns found, diagnostic, the
-    1-entries of the executed matrix).
-    """
-    s = cfg.s
-    cols = np.concatenate([np.arange(l * s, (l + 1) * s) for l in pools])
-    mat = _stage2_matrix(cfg, rows, cols.shape[0], part_rng)
-    z2 = meter.read(mat @ signal_values[cols])
-    decode_matrix = np.vstack([np.kron(np.eye(len(pools)), np.ones((1, s))), mat])
-    red = comp(PoolInstance(decode_matrix, np.concatenate([z1, z2])))
-    try:
-        # the two entry points stay distinct so that a traced run can tell
-        # single-pool decodes from mixed ones
-        if len(pools) == 1:
-            res = map_list_decode(red, *k_hats, cfg.decoder, p, noise, cfg.load_law, rng=part_rng)
-        else:
-            res = map_list_decode_mixed(
-                red, *k_hats, cfg.decoder, p, noise, cfg.load_law, half_width=s, rng=part_rng
-            )
-    except BudgetExceeded as err:
-        res = err.result
-    diag = PartDiagnostic(
-        pools=pools,
-        k_hats=k_hats,
-        stage2_rows=rows,
-        scored_subsets=res.scored_count,
-        budget_hit=res.budget_exceeded,
-        survivors=tuple(int(cols[j]) for j in red.survivors),
-        converged=res.best is None or res.best.converged,
-    )
-    return [int(cols[j]) for j in res.estimate], diag, int(mat.sum())
-
-
 def _run_adaptive(
     signal: Signal, cfg: SchemeConfig, noise: NoiseModel, rng: np.random.Generator
 ) -> TrialOutcome:
@@ -285,8 +236,11 @@ def _run_adaptive(
     stap1 and stap2 make each positive pool a part; stamp partitions them
     (partition_positive_pools) into heavy solo pools and pairs of sparse
     ones.  Each part draws one generator and runs as one or more jobs
-    (pools, stage-2 rows, fallback), each through _decode_part: a pair whose
-    counts have no mixed row count runs as two single-pool fallback jobs.
+    (pools, stage-2 rows, fallback): a pair whose counts have no mixed row
+    count runs as two single-pool fallback jobs.  A job reads its pools'
+    columns together through one rows x (|pools| * s) matrix and decodes them,
+    with their stage-1 readings, as one instance whose column blocks are the
+    pools.
     """
     _check_signal(signal, cfg)
     meter = _Meter(noise, rng)
@@ -294,6 +248,7 @@ def _run_adaptive(
     positives = np.flatnonzero(z1 > 0)
     t = positives.shape[0]
     values = np.asarray(signal.values)
+    s = cfg.s
     p = _prevalence(cfg, t)
     k_hats = {
         int(l): estimate_pool_count(float(z1[l]), cfg.s, p, noise, cfg.load_law)
@@ -324,13 +279,29 @@ def _run_adaptive(
             )
             jobs = [((l,), cfg.rows_for_count(k_hats[l]), True) for l in part]
         for pools, rows, fallback in jobs:
-            found, diag, ones = _decode_part(
-                pools, tuple(k_hats[l] for l in pools), rows, z1[list(pools)], values,
-                cfg, p, noise, part_rng, meter,
-            )
-            estimate.extend(found)
-            diagnostics.append(replace(diag, fallback=fallback))
-            pipetting += ones
+            cols = np.concatenate([np.arange(l * s, (l + 1) * s) for l in pools])
+            mat = _stage2_matrix(cfg, rows, cols.shape[0], part_rng)
+            z2 = meter.read(mat @ values[cols])
+            decode_matrix = np.vstack([np.kron(np.eye(len(pools)), np.ones((1, s))), mat])
+            red = comp(PoolInstance(decode_matrix, np.concatenate([z1[list(pools)], z2])))
+            decode = map_list_decode if len(pools) == 1 else map_list_decode_mixed
+            part_k_hats = tuple(k_hats[l] for l in pools)
+            try:
+                res = decode(red, part_k_hats, s, cfg.decoder, p, noise, cfg.load_law, part_rng)
+            except BudgetExceeded as err:
+                res = err.result
+            estimate.extend(int(cols[j]) for j in res.estimate)
+            diagnostics.append(PartDiagnostic(
+                pools=pools,
+                k_hats=part_k_hats,
+                stage2_rows=rows,
+                scored_subsets=res.scored_count,
+                budget_hit=res.budget_exceeded,
+                fallback=fallback,
+                survivors=tuple(int(cols[j]) for j in red.survivors),
+                converged=res.best is None or res.best.converged,
+            ))
+            pipetting += int(mat.sum())
 
     m2 = sum(d.stage2_rows for d in diagnostics)
     assert meter.count == cfg.q + m2

@@ -353,21 +353,28 @@ _GOOD = _mini_config().to_dict()
         {**_GOOD, "sigma_eps": True},
         {**_GOOD, "load_lo": True},
         {**_GOOD, "alpha_values": [True]},
+        [1, 2],
+        "abc",
+        7,
     ],
     ids=[
         "unknown_key", "k_window", "enumeration_cap", "kappa", "sigma_eps", "load_box",
         "trials", "stap_width", "n_float", "q_float", "s_float", "k_float", "trials_bool",
         "master_seed_float", "kappa_float", "k_window_float", "enumeration_cap_float",
         "sigma_eps_nan", "sigma_eps_inf", "load_hi_inf", "pin_string", "sigma_eps_bool",
-        "load_lo_bool", "alpha_bool",
+        "load_lo_bool", "alpha_bool", "list", "string", "number",
     ],
 )
 def test_cli_simulate_bad_config_exits_2(tmp_path, capsys, raw):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "bad config" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    # --seed writes into the config, so a file that holds no object is tried with it too
+    for seed in [[]] if isinstance(raw, dict) else [[], ["--seed", "3"]]:
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o"), *seed]) == 2
+        err = capsys.readouterr().err
+        assert "bad config" in err
+        assert isinstance(raw, dict) or "must hold a JSON object" in err
+        assert not (tmp_path / "o").exists()
 
 
 def test_cli_simulate_missing_file_exits_3(tmp_path, capsys):
@@ -384,6 +391,13 @@ def test_cli_matrix_gen_and_verify(tmp_path, capsys):
     # a profile the matrix does not satisfy
     assert main(["matrix", "verify", str(out), "--profile", "5x31"]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_matrix_gen_refuses_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    assert main(["matrix", "gen", "--profile", "6x31", "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_matrix_profile_file_round_trip(tmp_path, capsys):

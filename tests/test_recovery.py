@@ -30,7 +30,6 @@ from poolscreen.recovery import (
     estimate_pool_count,
     estimate_prevalence,
     map_list_decode,
-    map_list_decode_mixed,
     _optimize_loads,
     sum_measurement_logpdf,
 )
@@ -297,7 +296,7 @@ def test_score_single_column_matches_grid_search():
     z, p = 5.0, 0.01
     cfg = DecoderConfig(alpha=1.0, k_window=0)
     res = map_list_decode(
-        _single_row_reduced(z), 1, cfg, p, NOISE, LAW, rng=np.random.default_rng(0)
+        _single_row_reduced(z), (1,), 1, cfg, p, NOISE, LAW, np.random.default_rng(0)
     )
     grid = np.arange(1.0, 1000.0 + 0.0005, 0.001)
     vals = EPS.logpdf(z / grid)
@@ -314,7 +313,7 @@ def test_score_zero_when_row_uncovered():
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
     red = comp(PoolInstance(a, np.array([4.0, 7.0])))
     res = map_list_decode(
-        red, 1, DecoderConfig(k_window=0), 0.1, NOISE, LAW, rng=np.random.default_rng(0)
+        red, (1,), 2, DecoderConfig(k_window=0), 0.1, NOISE, LAW, np.random.default_rng(0)
     )
     assert res.scored_count == 0
     assert res.best is None and res.estimate == ()
@@ -581,7 +580,7 @@ def test_decode_alpha_one_returns_unique_argmax():
     x[[4, 17]] = [300.0, 88.0]
     red = comp(_exact_instance(mat, x))
     res = map_list_decode(
-        red, 2, DecoderConfig(alpha=1.0), 0.05, QUIET, LAW, rng=np.random.default_rng(0)
+        red, (2,), 31, DecoderConfig(alpha=1.0), 0.05, QUIET, LAW, np.random.default_rng(0)
     )
     assert res.estimate == (4, 17)
     assert res.best.subset == (4, 17)
@@ -624,7 +623,7 @@ def test_decode_exact_on_noiseless_distinguishable_instances():
             and min(others, default=1.0) > 3e-3
             and min(singles, default=1.0) > 3e-3
         )
-        res = map_list_decode(red, 2, cfg, 0.05, QUIET, LAW, rng=np.random.default_rng(0))
+        res = map_list_decode(red, (2,), 31, cfg, 0.05, QUIET, LAW, np.random.default_rng(0))
         if distinguishable:
             assert res.estimate == tuple(int(c) for c in sup)
             hits += 1
@@ -636,7 +635,7 @@ def test_decode_alpha_near_zero_unions_every_candidate():
     z = np.array([40.0, 70.0])
     red = comp(PoolInstance(a, z))
     res = map_list_decode(
-        red, 1, DecoderConfig(alpha=1e-12), 0.3, NOISE, LAW, rng=np.random.default_rng(0)
+        red, (1,), 3, DecoderConfig(alpha=1e-12), 0.3, NOISE, LAW, np.random.default_rng(0)
     )
     # oracle: every subset of sizes 1..2 whose columns cover both rows
     covering = []
@@ -662,8 +661,8 @@ def test_decode_alpha_monotone_in_list_size():
         prev = None
         for alpha in (1.0, 0.95, 0.8, 0.5):
             res = map_list_decode(
-                red, 3, DecoderConfig(alpha=alpha), 0.05, NOISE, LAW,
-                rng=np.random.default_rng(7),
+                red, (3,), 31, DecoderConfig(alpha=alpha), 0.05, NOISE, LAW,
+                np.random.default_rng(7),
             )
             if prev is not None:
                 assert set(prev) <= set(res.estimate)
@@ -678,7 +677,7 @@ def test_decode_budget_overflow_carries_partial_result():
     red = comp(_instance(mat, x, NOISE, rng))
     cfg = DecoderConfig(alpha=0.9, enumeration_cap=10)
     with pytest.raises(BudgetExceeded) as err:
-        map_list_decode(red, 4, cfg, 0.05, NOISE, LAW, rng=np.random.default_rng(0))
+        map_list_decode(red, (4,), 31, cfg, 0.05, NOISE, LAW, np.random.default_rng(0))
     partial = err.value.result
     assert partial.budget_exceeded
     assert partial.scored_count == 10
@@ -694,7 +693,7 @@ def test_decode_meeting_the_cap_exactly_is_no_budget_hit():
 
     def decode(cap):
         cfg = DecoderConfig(alpha=0.9, k_window=0, enumeration_cap=cap)
-        return map_list_decode(red, 2, cfg, 0.05, NOISE, LAW, rng=np.random.default_rng(0))
+        return map_list_decode(red, (2,), 92, cfg, 0.05, NOISE, LAW, np.random.default_rng(0))
 
     roomy = decode(92)
     exact = decode(91)
@@ -711,8 +710,8 @@ def test_decoding_needs_prevalence_strictly_inside_0_1(p):
         count_log_posterior(50.0, 31, p, NOISE, LAW)
     with pytest.raises(ValueError, match="p must lie"):
         map_list_decode(
-            _single_row_reduced(5.0), 1, DecoderConfig(), p, NOISE, LAW,
-            rng=np.random.default_rng(0),
+            _single_row_reduced(5.0), (1,), 1, DecoderConfig(), p, NOISE, LAW,
+            np.random.default_rng(0),
         )
 
 
@@ -723,8 +722,8 @@ def test_decode_is_deterministic():
     x[rng.choice(31, size=3, replace=False)] = rng.uniform(1.0, 1000.0, size=3)
     red = comp(_instance(mat, x, NOISE, rng))
     cfg = DecoderConfig(alpha=0.9)
-    a = map_list_decode(red, 3, cfg, 0.05, NOISE, LAW, rng=np.random.default_rng(0))
-    b = map_list_decode(red, 3, cfg, 0.05, NOISE, LAW, rng=np.random.default_rng(0))
+    a = map_list_decode(red, (3,), 31, cfg, 0.05, NOISE, LAW, np.random.default_rng(0))
+    b = map_list_decode(red, (3,), 31, cfg, 0.05, NOISE, LAW, np.random.default_rng(0))
     assert a == b
 
 
@@ -732,7 +731,7 @@ def test_decode_validates_k_hat_and_empty_reduction():
     red = _single_row_reduced(5.0)
     cfg = DecoderConfig()
     with pytest.raises(ValueError):
-        map_list_decode(red, 0, cfg, 0.1, NOISE, LAW, rng=np.random.default_rng(0))
+        map_list_decode(red, (0,), 1, cfg, 0.1, NOISE, LAW, np.random.default_rng(0))
 
 
 def test_decode_window_clips_at_survivor_count():
@@ -740,7 +739,7 @@ def test_decode_window_clips_at_survivor_count():
     a = np.array([[1.0, 1.0], [1.0, 0.0]])
     red = comp(PoolInstance(a, np.array([30.0, 10.0])))
     res = map_list_decode(
-        red, 2, DecoderConfig(alpha=0.5), 0.3, NOISE, LAW, rng=np.random.default_rng(0)
+        red, (2,), 2, DecoderConfig(alpha=0.5), 0.3, NOISE, LAW, np.random.default_rng(0)
     )
     assert res.scored_count == 2  # {0} and {0,1}; {1} leaves row 1 uncovered
 
@@ -755,7 +754,7 @@ def test_decode_reads_k_hat_above_survivors_as_all_of_them():
     cfg = DecoderConfig()
 
     def single(k):
-        return map_list_decode(red, k, cfg, 0.05, NOISE, LAW, rng=np.random.default_rng(0))
+        return map_list_decode(red, (k,), 31, cfg, 0.05, NOISE, LAW, np.random.default_rng(0))
 
     assert single(red.s_star + 4) == single(red.s_star)
     assert single(red.s_star).best is not None
@@ -767,9 +766,7 @@ def test_decode_reads_k_hat_above_survivors_as_all_of_them():
     right = red.s_star - left
 
     def mixed(ka, kb):
-        return map_list_decode_mixed(
-            red, ka, kb, cfg, 0.05, NOISE, LAW, half_width=31, rng=np.random.default_rng(0)
-        )
+        return map_list_decode(red, (ka, kb), 31, cfg, 0.05, NOISE, LAW, np.random.default_rng(0))
 
     assert mixed(left + 3, right + 1) == mixed(left, right)
     assert mixed(left, right + 2) == mixed(left, right)
@@ -799,9 +796,7 @@ def test_mixed_decode_recovers_one_per_half_noiseless():
         right = int(rng.integers(31, 62))
         x[[left, right]] = rng.uniform(1.0, 1000.0, size=2)
         red = comp(PoolInstance(_mixed_matrix(), _mixed_matrix() @ x))
-        res = map_list_decode_mixed(
-            red, 1, 1, cfg, 0.03, QUIET, LAW, half_width=31, rng=np.random.default_rng(0)
-        )
+        res = map_list_decode(red, (1, 1), 31, cfg, 0.03, QUIET, LAW, np.random.default_rng(0))
         assert set(res.estimate) >= {left, right}
         if res.estimate == (left, right):
             exact += 1
@@ -815,10 +810,8 @@ def test_mixed_decode_empty_half_matches_single_decode():
     red = comp(PoolInstance(a, a @ x))
     assert np.all(red.survivors < 31)  # right half emptied by its own row
     cfg = DecoderConfig(alpha=0.8)
-    mixed = map_list_decode_mixed(
-        red, 2, 1, cfg, 0.03, QUIET, LAW, half_width=31, rng=np.random.default_rng(0)
-    )
-    single = map_list_decode(red, 2, cfg, 0.03, QUIET, LAW, rng=np.random.default_rng(0))
+    mixed = map_list_decode(red, (2, 1), 31, cfg, 0.03, QUIET, LAW, np.random.default_rng(0))
+    single = map_list_decode(red, (2,), 62, cfg, 0.03, QUIET, LAW, np.random.default_rng(0))
     assert mixed.estimate == single.estimate
 
 
@@ -831,10 +824,26 @@ def test_mixed_decode_validates_half_counts():
     z = np.where(y > 0, y * np.exp(rng.normal(0.0, NOISE.sigma_eps, size=y.shape)), 0.0)
     red = comp(PoolInstance(a, z))
     with pytest.raises(ValueError):
-        map_list_decode_mixed(
-            red, 0, 1, DecoderConfig(), 0.03, NOISE, LAW, half_width=31,
-            rng=np.random.default_rng(0),
+        map_list_decode(
+            red, (0, 1), 31, DecoderConfig(), 0.03, NOISE, LAW, np.random.default_rng(0)
         )
+
+
+def test_decode_refuses_a_survivor_past_the_last_block():
+    # column 40 survives; one block of width 31, or two of width 20, stop short of it
+    x = np.zeros(62)
+    x[[1, 40]] = [100.0, 100.0]
+    a = _mixed_matrix()
+    red = comp(PoolInstance(a, a @ x))
+    assert 40 in red.survivors
+    for k_hats, width in (((1,), 31), ((1, 1), 20)):
+        with pytest.raises(ValueError, match="lies past"):
+            map_list_decode(red, k_hats, width, DecoderConfig(), 0.03, QUIET, LAW,
+                            np.random.default_rng(0))
+    # the same survivors read as two blocks of width 31 decode
+    res = map_list_decode(red, (1, 1), 31, DecoderConfig(), 0.03, QUIET, LAW,
+                          np.random.default_rng(0))
+    assert {1, 40} <= set(res.estimate)
 
 
 # ---------------------------------------------------------------------------

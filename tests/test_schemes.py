@@ -401,6 +401,26 @@ def test_stamp_mixed_budget_hit():
     assert out.budget_flag
 
 
+def test_parts_decode_through_the_name_for_their_kind(monkeypatch):
+    # a traced run wraps the two names on schemes apart to split single-pool
+    # decodes from mixed ones, so each part must look its name up at call time
+    calls = []
+
+    def spy(kind):
+        def decode(red, k_hats, *args):
+            calls.append((kind, k_hats))
+            return recovery.map_list_decode(red, k_hats, *args)
+        return decode
+
+    monkeypatch.setattr(schemes, "map_list_decode", spy("single"))
+    monkeypatch.setattr(schemes, "map_list_decode_mixed", spy("mixed"))
+    run_scheme(_two_pool_signal(), _cfg("stamp"), NOISE, np.random.default_rng(2))
+    values = np.zeros(961)
+    values[40] = 700.0
+    run_scheme(Signal(values), _cfg("stamp"), NOISE, np.random.default_rng(4))
+    assert calls == [("mixed", (2, 1)), ("single", (1,))]
+
+
 def test_run_scheme_dispatch():
     signal = generate_signal_fixed_k(961, 1, LAW, np.random.default_rng(1))
     for scheme in ("individual", "dorfman", "stap1", "stap2", "stamp"):
@@ -431,20 +451,27 @@ def test_prevalence_bounded_only_when_every_pool_is_positive():
     assert schemes._prevalence(cfg, cfg.q - 1) < schemes._prevalence(cfg, cfg.q) < 1.0
 
 
-def test_no_survivors_decodes_to_nothing():
+def test_no_survivors_decodes_to_nothing(monkeypatch):
     # a positive stage-1 reading whose stage-2 readings are all zero: every
     # column of the 6 x 31 design sits in some row, so none survives, which
     # noise alone never does
     cfg = _cfg("stap2", pin_builtin_matrices=True)
-    meter = schemes._Meter(NOISE, np.random.default_rng(0))
-    found, diag, _ = schemes._decode_part(
-        (0,), (2,), 6, np.array([40.0]), np.zeros(961), cfg, 0.01, NOISE,
-        np.random.default_rng(1), meter,
-    )
-    assert found == []
-    assert diag.no_survivors and diag.survivors == () and diag.scored_subsets == 0
+    read = schemes._Meter.read
+
+    def stage2_zero(meter, y):
+        z = read(meter, y)
+        return z if meter.count == cfg.q else np.zeros_like(z)
+
+    monkeypatch.setattr(schemes._Meter, "read", stage2_zero)
+    values = np.zeros(961)
+    values[[0, 1]] = [600.0, 900.0]  # one pool, count estimate 2
+    out = run_scheme(Signal(values), cfg, NOISE, np.random.default_rng(2))
+    assert out.estimated_support == ()
+    (diag,) = out.diagnostics
+    assert diag.k_hats == (2,) and diag.stage2_rows == 6
+    assert diag.survivors == () and diag.scored_subsets == 0
     assert diag.converged
-    assert meter.count == 6
+    assert out.measurements_stage2 == 6
 
 
 def test_diagnostic_reports_optimizer_convergence(monkeypatch):
@@ -453,7 +480,7 @@ def test_diagnostic_reports_optimizer_convergence(monkeypatch):
     signal = Signal(values)
     out = run_scheme(signal, _cfg("stap2"), NOISE, np.random.default_rng(2))
     assert [d.converged for d in out.diagnostics] == [True]
-    assert not out.diagnostics[0].no_survivors
+    assert out.diagnostics[0].survivors != ()
     monkeypatch.setattr(recovery, "_NEWTON_ITERS", 1)
     out = run_scheme(signal, _cfg("stap2"), NOISE, np.random.default_rng(2))
     assert [d.converged for d in out.diagnostics] == [False]
