@@ -127,6 +127,8 @@ def _load_matrix_file(path: str) -> SensingMatrix:
 
 
 def _cmd_simulate(args) -> int:
+    if args.threads < 1:
+        raise _CliError(f"--threads must be at least 1, got {args.threads}", EXIT_CONFIG)
     raw = _load_json(args.config)
     if not isinstance(raw, dict):
         raise _CliError(f"bad config: {args.config} must hold a JSON object", EXIT_CONFIG)
@@ -137,7 +139,7 @@ def _cmd_simulate(args) -> int:
     except (TypeError, ValueError) as err:
         raise _CliError(f"bad config: {err}", EXIT_CONFIG) from err
     try:
-        reports, _ = run_experiment(cfg, out_dir=args.out, threads=max(1, args.threads))
+        reports, _ = run_experiment(cfg, out_dir=args.out, threads=args.threads)
     except OSError as err:
         raise _CliError(f"cannot write results under {args.out}: {err}", EXIT_IO) from err
     for rep in reports:

@@ -84,6 +84,8 @@ class ExperimentConfig:
             raise ValueError("k_values must be non-empty")
         if any(not 0 <= k <= self.n for k in self.k_values):
             raise ValueError("every k must lie in [0, n]")
+        if len(set(self.k_values)) != len(self.k_values):
+            raise ValueError("duplicate k values")
         if not self.schemes:
             raise ValueError("schemes must be non-empty")
         if len(set(self.schemes)) != len(self.schemes):
@@ -92,6 +94,8 @@ class ExperimentConfig:
             raise ValueError("alpha_values must be non-empty")
         if any(not 0.0 < a <= 1.0 for a in self.alpha_values):
             raise ValueError("alpha values must lie in (0, 1]")
+        if len(set(self.alpha_values)) != len(self.alpha_values):
+            raise ValueError("duplicate alpha values")
         # the noise, the load law and each scheme's settings check their own
         # values; build them once here so that a bad value fails before any trial
         self.noise()

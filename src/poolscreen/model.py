@@ -154,7 +154,7 @@ class Signal:
     """A length-n non-negative vector plus its support (indices of positives)."""
 
     values: np.ndarray
-    support: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
+    support: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -162,18 +162,11 @@ class Signal:
             raise ValueError("signal values must be non-negative")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        support = tuple(int(j) for j in np.flatnonzero(values > 0))
-        if self.support is not None and tuple(self.support) != support:
-            raise ValueError("declared support does not match the positive entries")
-        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "support", tuple(int(j) for j in np.flatnonzero(values > 0)))
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def k(self) -> int:
-        return len(self.support)
 
 
 def generate_signal_fixed_k(

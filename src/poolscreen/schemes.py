@@ -12,7 +12,6 @@ Pipetting counts one operation per 1-entry of each executed sensing row.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -30,8 +29,6 @@ from .recovery import (
     map_list_decode,
 )
 
-logger = logging.getLogger(__name__)
-
 # One decoder under two names: a solo part calls map_list_decode and a mixed
 # pair map_list_decode_mixed, each looked up on this module at call time, so
 # that a traced run can wrap the two names separately and split single-pool
@@ -44,11 +41,12 @@ DECODED_SCHEMES = ("stap1", "stap2", "stamp")
 
 # Stage-2 row counts: stap1's fixed count; a single pool's count by its count
 # estimate (estimates above the largest key take the largest key's rows); and
-# a mixed pair's count by its two estimates, larger first (a pair missing
-# here is decoded as two single pools).
+# a mixed pair's count by its two estimates, larger first.  The table holds
+# every pair of counts up to its largest, which bounds kappa.
 STAP1_ROWS = 6
 ROWS_BY_KHAT = {1: 5, 2: 6, 3: 7, 4: 8}
 MIXED_ROWS_BY_PAIR = {(1, 1): 9, (2, 1): 10, (2, 2): 11}
+KAPPA_MAX = max(ka for ka, _ in MIXED_ROWS_BY_PAIR)
 
 
 @dataclass
@@ -56,7 +54,7 @@ class SchemeConfig:
     scheme: str
     q: int
     s: int
-    kappa: int = 2
+    kappa: int = 2  # pools with count estimates up to kappa pair up; 1..KAPPA_MAX
     pin_builtin_matrices: bool = False
     decoder: DecoderConfig = field(default_factory=DecoderConfig)
     load_law: UniformLoad = field(default_factory=UniformLoad)
@@ -66,8 +64,9 @@ class SchemeConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.q < 1 or self.s < 1:
             raise ValueError("q and s must be positive")
-        if self.kappa < 1:
-            raise ValueError("kappa must be >= 1")
+        if not 1 <= self.kappa <= KAPPA_MAX:
+            # a larger kappa would pair counts that no mixed design serves
+            raise ValueError(f"kappa must lie in [1, {KAPPA_MAX}], got {self.kappa}")
         if self.scheme in DECODED_SCHEMES and self.s != 31:
             # coded stage-2 designs are defined for width-31 pools only
             raise ValueError(f"scheme {self.scheme!r} needs s = 31, got s = {self.s}")
@@ -81,10 +80,10 @@ class SchemeConfig:
         (stap1 ignores the estimate)."""
         if self.scheme == "stap1":
             return STAP1_ROWS
-        return ROWS_BY_KHAT[min(max(k_hat, 1), max(ROWS_BY_KHAT))]
+        return ROWS_BY_KHAT[min(k_hat, max(ROWS_BY_KHAT))]
 
-    def rows_for_pair(self, ka: int, kb: int) -> int | None:
-        return MIXED_ROWS_BY_PAIR.get((max(ka, kb), min(ka, kb)))
+    def rows_for_pair(self, ka: int, kb: int) -> int:
+        return MIXED_ROWS_BY_PAIR[(max(ka, kb), min(ka, kb))]
 
 
 @dataclass(frozen=True)
@@ -96,6 +95,7 @@ class PartDiagnostic:
     stage2_rows: int
     scored_subsets: int
     budget_hit: bool
+    # never set; perfbench/tracing.py::_observe_outcome reads it, or --trace 1 fails
     fallback: bool = False
     survivors: tuple[int, ...] = ()  # columns kept by the support reduction
     # whether the load search behind the best candidate met its tolerance
@@ -235,12 +235,9 @@ def _run_adaptive(
 
     stap1 and stap2 make each positive pool a part; stamp partitions them
     (partition_positive_pools) into heavy solo pools and pairs of sparse
-    ones.  Each part draws one generator and runs as one or more jobs
-    (pools, stage-2 rows, fallback): a pair whose counts have no mixed row
-    count runs as two single-pool fallback jobs.  A job reads its pools'
-    columns together through one rows x (|pools| * s) matrix and decodes them,
-    with their stage-1 readings, as one instance whose column blocks are the
-    pools.
+    ones.  Each part draws one generator, reads its pools' columns together
+    through one rows x (|pools| * s) matrix and decodes them, with their
+    stage-1 readings, as one instance whose column blocks are the pools.
     """
     _check_signal(signal, cfg)
     meter = _Meter(noise, rng)
@@ -266,42 +263,33 @@ def _run_adaptive(
     estimate: list[int] = []
     diagnostics: list[PartDiagnostic] = []
     pipetting = cfg.n
-    for part in parts:
+    for pools in parts:
         part_rng = np.random.default_rng(rng.integers(0, 2**63))
-        ks = [k_hats[l] for l in part]
-        rows = cfg.rows_for_count(*ks) if len(part) == 1 else cfg.rows_for_pair(*ks)
-        if rows is not None:
-            jobs = [(part, rows, False)]
+        part_k_hats = tuple(k_hats[l] for l in pools)
+        if len(pools) == 1:
+            rows, decode = cfg.rows_for_count(*part_k_hats), map_list_decode
         else:
-            logger.warning(
-                "no mixed row count for pair (%d, %d); decoding pools %d and %d separately",
-                *ks, *part,
-            )
-            jobs = [((l,), cfg.rows_for_count(k_hats[l]), True) for l in part]
-        for pools, rows, fallback in jobs:
-            cols = np.concatenate([np.arange(l * s, (l + 1) * s) for l in pools])
-            mat = _stage2_matrix(cfg, rows, cols.shape[0], part_rng)
-            z2 = meter.read(mat @ values[cols])
-            decode_matrix = np.vstack([np.kron(np.eye(len(pools)), np.ones((1, s))), mat])
-            red = comp(PoolInstance(decode_matrix, np.concatenate([z1[list(pools)], z2])))
-            decode = map_list_decode if len(pools) == 1 else map_list_decode_mixed
-            part_k_hats = tuple(k_hats[l] for l in pools)
-            try:
-                res = decode(red, part_k_hats, s, cfg.decoder, p, noise, cfg.load_law, part_rng)
-            except BudgetExceeded as err:
-                res = err.result
-            estimate.extend(int(cols[j]) for j in res.estimate)
-            diagnostics.append(PartDiagnostic(
-                pools=pools,
-                k_hats=part_k_hats,
-                stage2_rows=rows,
-                scored_subsets=res.scored_count,
-                budget_hit=res.budget_exceeded,
-                fallback=fallback,
-                survivors=tuple(int(cols[j]) for j in red.survivors),
-                converged=res.best is None or res.best.converged,
-            ))
-            pipetting += int(mat.sum())
+            rows, decode = cfg.rows_for_pair(*part_k_hats), map_list_decode_mixed
+        cols = np.concatenate([np.arange(l * s, (l + 1) * s) for l in pools])
+        mat = _stage2_matrix(cfg, rows, cols.shape[0], part_rng)
+        z2 = meter.read(mat @ values[cols])
+        decode_matrix = np.vstack([np.kron(np.eye(len(pools)), np.ones((1, s))), mat])
+        red = comp(PoolInstance(decode_matrix, np.concatenate([z1[list(pools)], z2])))
+        try:
+            res = decode(red, part_k_hats, s, cfg.decoder, p, noise, cfg.load_law, part_rng)
+        except BudgetExceeded as err:
+            res = err.result
+        estimate.extend(int(cols[j]) for j in res.estimate)
+        diagnostics.append(PartDiagnostic(
+            pools=pools,
+            k_hats=part_k_hats,
+            stage2_rows=rows,
+            scored_subsets=res.scored_count,
+            budget_hit=res.budget_exceeded,
+            survivors=tuple(int(cols[j]) for j in red.survivors),
+            converged=res.best is None or res.best.converged,
+        ))
+        pipetting += int(mat.sum())
 
     m2 = sum(d.stage2_rows for d in diagnostics)
     assert meter.count == cfg.q + m2

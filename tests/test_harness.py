@@ -233,11 +233,11 @@ def test_run_experiment_thread_count_does_not_change_decoded_results(tmp_path, s
 
 def test_simulate_output_is_pinned_on_a_small_grid(tmp_path):
     # simulate's output must not move unless a change means it to; digests
-    # taken with numpy 2.4 on x86-64.  The grid holds mixed pairs, three
-    # mixed-row fallbacks and enumeration-cap hits, in about a second
+    # taken with numpy 2.4 on x86-64.  The grid holds 39 mixed pairs and 23
+    # trials with enumeration-cap hits, in about a second
     cfg = _mini_config(
         k_values=(2, 5, 20), trials=4, master_seed=11, schemes=("stap1", "stap2", "stamp"),
-        kappa=3, pin_builtin_matrices=True, k_window=2, enumeration_cap=60,
+        kappa=2, pin_builtin_matrices=True, k_window=2, enumeration_cap=60,
     )
     run_experiment(cfg, out_dir=tmp_path)
     digests = {
@@ -245,8 +245,8 @@ def test_simulate_output_is_pinned_on_a_small_grid(tmp_path):
         for name in ("results.csv", "trials.jsonl")
     }
     assert digests == {
-        "results.csv": "5de8f0761a230b853fe1126405615fa2157ff269b75b5c17b6963f6d3eafb31d",
-        "trials.jsonl": "077f442023c3e86fca55bd41c0be882f76ec1fbec734c8608ef1b499ae45ca86",
+        "results.csv": "64232ced380a0ae6e300e2f8dc7b9aefde1b698a0615f08b2721e33996cdd3be",
+        "trials.jsonl": "ba21e085a3ab04a8d4d36e7107f8b09f94c191bfea2dade6ec1e77a98f84946c",
     }
 
 
@@ -333,6 +333,7 @@ _GOOD = _mini_config().to_dict()
         {**_GOOD, "k_window": -1},
         {**_GOOD, "enumeration_cap": 0},
         {**_GOOD, "kappa": 0},
+        {**_GOOD, "kappa": 3},
         {**_GOOD, "sigma_eps": 0.0},
         {**_GOOD, "load_lo": 1000.0, "load_hi": 1000.0},
         {**_GOOD, "trials": 2.5},
@@ -353,16 +354,18 @@ _GOOD = _mini_config().to_dict()
         {**_GOOD, "sigma_eps": True},
         {**_GOOD, "load_lo": True},
         {**_GOOD, "alpha_values": [True]},
+        {**_GOOD, "k_values": [2, 2]},
+        {**_GOOD, "alpha_values": [0.9, 0.9]},
         [1, 2],
         "abc",
         7,
     ],
     ids=[
-        "unknown_key", "k_window", "enumeration_cap", "kappa", "sigma_eps", "load_box",
+        "unknown_key", "k_window", "enumeration_cap", "kappa", "kappa_3", "sigma_eps", "load_box",
         "trials", "stap_width", "n_float", "q_float", "s_float", "k_float", "trials_bool",
         "master_seed_float", "kappa_float", "k_window_float", "enumeration_cap_float",
         "sigma_eps_nan", "sigma_eps_inf", "load_hi_inf", "pin_string", "sigma_eps_bool",
-        "load_lo_bool", "alpha_bool", "list", "string", "number",
+        "load_lo_bool", "alpha_bool", "k_duplicate", "alpha_duplicate", "list", "string", "number",
     ],
 )
 def test_cli_simulate_bad_config_exits_2(tmp_path, capsys, raw):
@@ -375,6 +378,15 @@ def test_cli_simulate_bad_config_exits_2(tmp_path, capsys, raw):
         assert "bad config" in err
         assert isinstance(raw, dict) or "must hold a JSON object" in err
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_simulate_refuses_threads_below_1(tmp_path, capsys, threads):
+    path = _write_config(tmp_path, schemes=("individual",), trials=2)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(path), "--out", str(out), "--threads", threads]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_simulate_missing_file_exits_3(tmp_path, capsys):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from poolscreen.model import (
     NoiseModel,
-    Signal,
     UniformLoad,
     apply_noise_vec,
     generate_signal_fixed_k,
@@ -21,14 +20,9 @@ from poolscreen.model import (
 def test_generate_signal_fixed_k_support_and_box():
     law = UniformLoad(1.0, 1000.0)
     sig = generate_signal_fixed_k(200, 17, law, np.random.default_rng(3))
-    assert sig.k == 17
+    assert len(sig.support) == 17
     vals = sig.values[list(sig.support)]
     assert np.all((vals >= 1.0) & (vals <= 1000.0))
-
-
-def test_signal_rejects_mismatched_support():
-    with pytest.raises(ValueError):
-        Signal(np.array([0.0, 2.0]), support=(0,))
 
 
 # ---------------------------------------------------------------- noise

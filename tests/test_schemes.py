@@ -1,6 +1,5 @@
 """Tests for the five end-to-end testing protocols and their accounting."""
 
-import logging
 import math
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poolscreen.harness import _comp_violations, derive_trial_seed
+from poolscreen.harness import _comp_violations
 from poolscreen.matrices import BUILTIN_PROFILES, builtin_matrix
 from poolscreen.model import NoiseModel, Signal, UniformLoad, generate_signal_fixed_k
 from poolscreen import recovery, schemes
@@ -60,8 +59,9 @@ def test_config_requires_width_31_for_coded_schemes():
 
 
 def test_config_rejects_bad_values():
-    with pytest.raises(ValueError, match="kappa"):
-        _cfg("stamp", kappa=0)
+    for kappa in (0, schemes.KAPPA_MAX + 1):
+        with pytest.raises(ValueError, match=r"kappa must lie in \[1, 2\]"):
+            _cfg("stamp", kappa=kappa)
     with pytest.raises(ValueError):
         SchemeConfig(scheme="dorfman", q=0, s=31)
 
@@ -79,8 +79,19 @@ def test_pair_dispatch_table():
     assert cfg.rows_for_pair(2, 1) == 10
     assert cfg.rows_for_pair(1, 2) == 10
     assert cfg.rows_for_pair(2, 2) == 11
-    assert cfg.rows_for_pair(3, 1) is None
-    assert cfg.rows_for_pair(3, 3) is None
+
+
+def test_every_part_has_a_stage2_design():
+    # any count estimate >= 1, and any pair of counts up to KAPPA_MAX, reads
+    # through a shipped design; a part without one would have no stage 2
+    for scheme in ("stap1", "stap2"):
+        cfg = _cfg(scheme)
+        for k_hat in range(1, 32):
+            builtin_matrix(cfg.rows_for_count(k_hat), 31)
+    cfg = _cfg("stamp", kappa=schemes.KAPPA_MAX)
+    for ka in range(1, schemes.KAPPA_MAX + 1):
+        for kb in range(1, ka + 1):
+            builtin_matrix(cfg.rows_for_pair(ka, kb), 62)
 
 
 def test_builtin_profile_totals():
@@ -278,7 +289,7 @@ def test_stamp_partition_structure():
         if len(diag.pools) == 2:
             assert all(k <= cfg.kappa for k in diag.k_hats)
             assert diag.stage2_rows == cfg.rows_for_pair(*diag.k_hats)
-        elif not diag.fallback:
+        else:
             last = idx == len(out.diagnostics) - 1
             assert diag.k_hats[0] > cfg.kappa or last
             assert diag.stage2_rows == cfg.rows_for_count(diag.k_hats[0])
@@ -306,36 +317,9 @@ def test_stamp_pairs_sparse_pools():
     assert diag.pools == (0, 5)  # descending count estimates
     assert diag.k_hats == (2, 1)
     assert diag.stage2_rows == 10
-    assert not diag.fallback
     # stage-1 readings are reused by the decoder, not measured again
     assert out.measurements_total == 31 + 10
     assert out.estimated_support == (0, 1, 155)
-
-
-def test_stamp_unconfigured_pair_falls_back(caplog):
-    # kappa 3 lets a pool with count estimate 3 join a pair, and no mixed
-    # row count covers such a pair; the trials of simulate's stamp k=20 cell
-    # at master seed 11 with pinned designs meet three of them.  The count
-    # estimates, and so the parts, do not depend on the decoder's settings;
-    # a small enumeration cap keeps the 20-positive trials fast
-    capped = DecoderConfig(k_window=2, enumeration_cap=60)
-    cfg = _cfg("stamp", kappa=3, pin_builtin_matrices=True, decoder=capped)
-    pairs = []
-    with caplog.at_level(logging.WARNING, logger="poolscreen.schemes"):
-        for trial in range(4):
-            rng = np.random.default_rng(derive_trial_seed(11, "stamp", 20, 0.9, trial))
-            signal = generate_signal_fixed_k(961, 20, LAW, rng)
-            out = run_scheme(signal, cfg, NOISE, rng)
-            fallback = [d for d in out.diagnostics if d.fallback]
-            # a pair's two pools are decoded back to back, each under the solo table
-            pairs += [a.k_hats + b.k_hats for a, b in zip(fallback[::2], fallback[1::2])]
-            for diag in fallback:
-                assert len(diag.pools) == 1
-                assert diag.stage2_rows == cfg.rows_for_count(diag.k_hats[0])
-            assert out.measurements_total == cfg.q + sum(d.stage2_rows for d in out.diagnostics)
-    assert sorted(pairs) == [(3, 2), (3, 2), (3, 3)]
-    assert all(cfg.rows_for_pair(*pair) is None for pair in pairs)
-    assert sum("decoding pools" in rec.message for rec in caplog.records) == 3
 
 
 def test_stamp_single_pool_uses_solo_table():
@@ -370,12 +354,11 @@ def test_pinned_matrices_reproduce_exactly():
     scheme=st.sampled_from(["stap1", "stap2", "stamp"]),
     q=st.integers(min_value=1, max_value=4),
     k=st.integers(min_value=0, max_value=6),
-    kappa=st.integers(min_value=1, max_value=3),
+    kappa=st.integers(min_value=1, max_value=2),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_whole_trial_invariants(scheme, q, k, kappa, seed):
-    # small q makes every pool positive often; kappa 3 lets stamp pair a
-    # count of 3, which has no mixed row count and falls back
+    # small q makes every pool positive often
     cfg = SchemeConfig(scheme=scheme, q=q, s=31, kappa=kappa, pin_builtin_matrices=True)
     rng = np.random.default_rng(seed)
     signal = generate_signal_fixed_k(cfg.n, min(k, cfg.n), LAW, rng)
@@ -396,7 +379,7 @@ def test_stamp_mixed_budget_hit():
     cfg = _cfg("stamp", decoder=capped)
     out = run_scheme(_two_pool_signal(), cfg, NOISE, np.random.default_rng(2))
     [diag] = out.diagnostics
-    assert diag.pools == (0, 5) and not diag.fallback
+    assert diag.pools == (0, 5)
     assert diag.budget_hit and diag.scored_subsets == 1
     assert out.budget_flag
 
