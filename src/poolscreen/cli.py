@@ -225,6 +225,14 @@ def _cmd_decode(args) -> int:
     except ValueError as err:
         raise _CliError(str(err), EXIT_CONFIG) from err
     reduced = comp(instance)
+    orphans = reduced.active_rows[~reduced.sub_matrix.any(axis=1)]
+    if orphans.size:
+        # zeros are exact, so a positive reading must pool some survivor
+        raise _CliError(
+            f"reading {orphans[0] + 1} in {args.measurements} is positive, but every "
+            "column it pools is cleared by a zero reading",
+            EXIT_CONFIG,
+        )
     result = {
         "survivors": [int(j) for j in reduced.survivors],
         "active_rows": [int(i) for i in reduced.active_rows],
@@ -234,12 +242,10 @@ def _cmd_decode(args) -> int:
         "scored_subsets": 0,
         "budget_exceeded": False,
     }
-    if reduced.m_star >= 1 and reduced.s_star >= 1:
+    if reduced.m_star >= 1:
         # window k_hat +- n covers every support size the survivors allow
         try:
-            decode = map_list_decode(
-                reduced, (1,), mat.n, cfg, args.prevalence, noise, law, np.random.default_rng(0)
-            )
+            decode = map_list_decode(reduced, (1,), mat.n, cfg, args.prevalence, noise, law)
         except BudgetExceeded as err:
             decode = err.result
         result["budget_exceeded"] = decode.budget_exceeded

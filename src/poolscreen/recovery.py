@@ -175,7 +175,7 @@ def estimate_pool_count(
 # Multi-start projected Newton ascent over the load box (see _optimize_loads):
 # each start takes Newton steps on the coordinates not held at a bound, with
 # Armijo backtracking from the full step.
-_STARTS = 5  # 1 reading-proportional start + the rest uniform
+_STARTS = 5  # 1 reading-proportional start + the rest fixed points of the box
 _NEWTON_ITERS = 500  # cap on Newton iterations per start
 _REL_TOL = 1e-9  # a start settles once a step's predicted gain is below this, relative
 _ARMIJO = 1e-4  # sufficient-increase fraction of the backtracking
@@ -319,25 +319,30 @@ def _newton_direction(H, g, X, lo, hi, eye):
 _NEWTON_BLOCK = 256
 
 
-def _optimize_loads(A, v, sig2, lo, hi, rng: np.random.Generator):
+def _optimize_loads(A, v, sig2, lo, hi):
     """Multi-start projected Newton ascent of the load log-objective.
 
     A: (N, m, k) pooling patterns in which every row pools at least one
     column, v: (m,) debiased log readings.  Maximizes phi (see
     _load_objective) over the box [lo, hi]^k from _STARTS starts per
-    instance: one that splits each reading evenly over the columns it pools,
-    and _STARTS - 1 uniform draws, each run by _newton_ascent.
+    instance, each run by _newton_ascent: one that splits each reading evenly
+    over the columns it pools, and S = _STARTS - 1 fixed points, a cyclic
+    Latin design in which start j puts coordinate c in the middle of slice
+    (j + c) mod S of S equal slices of [lo, hi].
 
     With k = 1 every row pools the single column, so phi is concave in
     u = ln x and peaks at x = exp(mean(v) + sig2) clipped to the box; that
-    closed form replaces the search.  The uniform starts are drawn in every
-    case, so rng advances by the same (N, starts - 1, k) draw either way.
+    closed form replaces the search.
+
+    Each instance's result depends on its own A and v alone: not on the
+    other instances, their order, A's memory layout (the heuristic start's
+    row sum follows it, so A is made C-contiguous) or _NEWTON_BLOCK.
 
     Returns the best objective value, its maximizer and whether that start
     converged, per instance.
     """
+    A = np.ascontiguousarray(A)
     N, m, k = A.shape
-    starts = rng.uniform(lo, hi, size=(N, _STARTS - 1, k))
     if k == 1:
         X = np.full((N, 1), min(max(math.exp(v.mean() + sig2), lo), hi))
         return _load_objective(A, X, v, sig2)[0], X, np.ones(N, dtype=bool)
@@ -350,7 +355,10 @@ def _optimize_loads(A, v, sig2, lo, hi, rng: np.random.Generator):
     x0 = np.einsum("nmk,nm->nk", A, shares) / np.maximum(colw, 1.0)
     x0[colw == 0] = 0.5 * (lo + hi)
     np.clip(x0, lo, hi, out=x0)
-    X = np.concatenate([x0[:, None, :], starts], axis=1)  # (N, _STARTS, k)
+    S = _STARTS - 1
+    slot = np.add.outer(np.arange(S), np.arange(k)) % S  # (S, k)
+    fixed = lo + (hi - lo) * (slot + 0.5) / S
+    X = np.concatenate([x0[:, None, :], np.broadcast_to(fixed, (N, S, k))], axis=1)
     G = np.empty((N, _STARTS))
     settled = np.empty((N, _STARTS), dtype=bool)
     for first in range(0, N, _NEWTON_BLOCK):
@@ -481,7 +489,6 @@ def map_list_decode(
     p: float,
     noise: NoiseModel,
     law: UniformLoad,
-    rng: np.random.Generator,
 ) -> DecodeResult:
     """Score candidate supports around the count estimates; return the union
     of every candidate scoring within a factor alpha of the best.
@@ -494,7 +501,9 @@ def map_list_decode(
     size, since more positives than survivors means all of them.  A block
     with no survivors contributes size 0, and with no survivors at all the
     result is empty.  Candidates are every choice of one size per block, and
-    of that many columns from each.  rng draws the starts of the load search.
+    of that many columns from each.  A candidate's score depends on that
+    candidate and the readings alone (see _optimize_loads), so the result
+    does not depend on how the candidates are batched for the load search.
 
     A candidate must pool every positive reading.  The covered ones count
     against cfg.enumeration_cap; once a covered candidate is left unscored,
@@ -561,7 +570,7 @@ def map_list_decode(
             if np.any(keep):
                 subsets = subsets[keep]
                 A = M[:, subsets].transpose(1, 0, 2)  # (N, m*, k)
-                phi, _, conv = _optimize_loads(A, v, sig2, law.lo, law.hi, rng)
+                phi, _, conv = _optimize_loads(A, v, sig2, law.lo, law.hi)
                 logf = phi + prior + const
                 top = int(np.argmax(logf))
                 if logf[top] > best_logf:

@@ -235,9 +235,11 @@ def _run_adaptive(
 
     stap1 and stap2 make each positive pool a part; stamp partitions them
     (partition_positive_pools) into heavy solo pools and pairs of sparse
-    ones.  Each part draws one generator, reads its pools' columns together
-    through one rows x (|pools| * s) matrix and decodes them, with their
-    stage-1 readings, as one instance whose column blocks are the pools.
+    ones.  Each part reads its pools' columns together through one
+    rows x (|pools| * s) matrix and decodes them, with their stage-1
+    readings, as one instance whose column blocks are the pools.  Each part
+    draws its own generator, which only the stage-2 sampler uses; pinned
+    designs draw it too, so sampled and pinned runs read the same noise.
     """
     _check_signal(signal, cfg)
     meter = _Meter(noise, rng)
@@ -276,7 +278,7 @@ def _run_adaptive(
         decode_matrix = np.vstack([np.kron(np.eye(len(pools)), np.ones((1, s))), mat])
         red = comp(PoolInstance(decode_matrix, np.concatenate([z1[list(pools)], z2])))
         try:
-            res = decode(red, part_k_hats, s, cfg.decoder, p, noise, cfg.load_law, part_rng)
+            res = decode(red, part_k_hats, s, cfg.decoder, p, noise, cfg.load_law)
         except BudgetExceeded as err:
             res = err.result
         estimate.extend(int(cols[j]) for j in res.estimate)

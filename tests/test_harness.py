@@ -586,3 +586,19 @@ def test_cli_decode_all_zero_readings(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["estimate"] == []
     assert payload["scored_subsets"] == 0
+
+
+def test_cli_decode_refuses_a_positive_reading_with_no_survivor(tmp_path, capsys):
+    # every column the first row pools sits in some other row, read as zero;
+    # under exact zeros nothing can explain the first reading
+    mat = builtin_matrix(6, 31)
+    matrix_path = tmp_path / "design.txt"
+    save_matrix(mat, matrix_path)
+    meas_path = tmp_path / "readings.txt"
+    meas_path.write_text("500\n0\n0\n0\n0\n0\n")
+    assert (
+        main(["decode", "--matrix", str(matrix_path), "--measurements", str(meas_path)]) == 2
+    )
+    captured = capsys.readouterr()
+    assert f"reading 1 in {meas_path} is positive" in captured.err
+    assert captured.out == ""
