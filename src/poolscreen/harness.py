@@ -18,7 +18,6 @@ import dataclasses
 import json
 import math
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -199,7 +198,7 @@ def derive_trial_seed(
 # scoring
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfusionCounts:
     true_pos: int
     false_pos: int
@@ -355,6 +354,9 @@ def run_experiment(
         for trial in range(cfg.trials)
     ]
     if threads > 1:
+        # imported here: a one-worker run does not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             records = list(pool.map(_run_trial, jobs, chunksize=4))
     else:

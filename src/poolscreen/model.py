@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,9 +118,14 @@ class NoiseModel:
     sigma_eps: float = 0.1 * math.log(1.95)
 
     def __post_init__(self):
-        # nan would fail no sign test and turn every reading into nan
-        if not 0.0 < self.sigma_eps < math.inf:
-            raise ValueError(f"sigma_eps must be finite and positive, got {self.sigma_eps}")
+        # nan would fail no sign test and turn every reading into nan; a scale
+        # whose square underflows would leave the decoder dividing by zero
+        s = self.sigma_eps
+        if not (0.0 < s < math.inf and s**2 >= sys.float_info.min):
+            raise ValueError(
+                f"sigma_eps must be finite and positive, with a square of at least "
+                f"{sys.float_info.min}, got {s}"
+            )
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         g = rng.standard_normal(size)

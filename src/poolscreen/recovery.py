@@ -265,8 +265,9 @@ def _newton_direction(H, g, X, lo, hi, eye):
     H is the negative Hessian (P, k, k) and g the gradient (P, k) at X; eye
     is np.eye(k).  A coordinate on a bound whose gradient points out of the
     box is frozen: its step is zero and it is dropped from the Newton system.
-    The free block of H can be indefinite once a row's residual v - u falls
-    below -(1 + sig2); it is then shifted by its smallest eigenvalue until
+    The free block of H can be indefinite (in t = ln x, where a coordinate's
+    gradient is positive, or once a row's residual v - u falls below
+    -(1 + sig2)); it is then shifted by its smallest eigenvalue until
     positive definite.  A free coordinate on a bound that the step would push
     out of the box is frozen too, and the system solved again without it.
 
@@ -328,11 +329,15 @@ def _optimize_loads(A, v, sig2, lo, hi):
     instance, each run by _newton_ascent: one that splits each reading evenly
     over the columns it pools, and S = _STARTS - 1 fixed points, a cyclic
     Latin design in which start j puts coordinate c in the middle of slice
-    (j + c) mod S of S equal slices of [lo, hi].
+    (j + c) mod S of S equal slices of [lo, hi].  The starts are built in x;
+    the search runs in t = ln x over [ln lo, ln hi], where a row that pools
+    one column is exactly quadratic.  A coordinate the search leaves on a
+    bound comes back as lo or hi exactly, and phi is evaluated at the loads
+    returned.
 
     With k = 1 every row pools the single column, so phi is concave in
     u = ln x and peaks at x = exp(mean(v) + sig2) clipped to the box; that
-    closed form replaces the search.
+    closed form, which is Newton's first step in t, replaces the search.
 
     Each instance's result depends on its own A and v alone: not on the
     other instances, their order, A's memory layout (the heuristic start's
@@ -358,93 +363,104 @@ def _optimize_loads(A, v, sig2, lo, hi):
     S = _STARTS - 1
     slot = np.add.outer(np.arange(S), np.arange(k)) % S  # (S, k)
     fixed = lo + (hi - lo) * (slot + 0.5) / S
-    X = np.concatenate([x0[:, None, :], np.broadcast_to(fixed, (N, S, k))], axis=1)
+    T = np.log(np.concatenate([x0[:, None, :], np.broadcast_to(fixed, (N, S, k))], axis=1))
+    t_lo, t_hi = math.log(lo), math.log(hi)
     G = np.empty((N, _STARTS))
     settled = np.empty((N, _STARTS), dtype=bool)
     for first in range(0, N, _NEWTON_BLOCK):
         block = slice(first, first + _NEWTON_BLOCK)
-        n = X[block].shape[0]
-        g, x, c = _newton_ascent(np.repeat(A[block], _STARTS, axis=0),
-                                 X[block].reshape(n * _STARTS, k), v, sig2, lo, hi)
-        G[block], X[block], settled[block] = (
-            g.reshape(n, _STARTS), x.reshape(n, _STARTS, k), c.reshape(n, _STARTS))
+        n = T[block].shape[0]
+        g, t, c = _newton_ascent(np.repeat(A[block], _STARTS, axis=0),
+                                 T[block].reshape(n * _STARTS, k), v, sig2, t_lo, t_hi)
+        G[block], T[block], settled[block] = (
+            g.reshape(n, _STARTS), t.reshape(n, _STARTS, k), c.reshape(n, _STARTS))
     best = G.argmax(axis=1)
     rows = np.arange(N)
-    return G[rows, best], X[rows, best], settled[rows, best]
+    T = T[rows, best]
+    # exp(ln hi) need not be hi: a coordinate on a bound is that bound
+    X = np.where(T <= t_lo, lo, np.where(T >= t_hi, hi, np.exp(T)))
+    return _load_objective(A, X, v, sig2)[0], X, settled[rows, best]
 
 
-def _newton_ascent(A, X, v, sig2, lo, hi):
-    """Run projected Newton ascent from each start; A: (P, m, k), X: (P, k).
+def _newton_ascent(A, T, v, sig2, lo, hi):
+    """Run projected Newton ascent in t = ln x from each start; A: (P, m, k), T: (P, k).
 
-    Each iteration takes the step of _newton_direction with Armijo
-    backtracking from t = 1.  A start settles when the step's predicted gain
+    lo and hi bound t.  With x = exp(t) and q = d phi / d y at y = A x, the
+    gradient is g = x * (A^T q) and the negative Hessian
+    diag(x) A^T W A diag(x) - diag(g), W = -d2 phi / d y2 per row.  Each
+    iteration takes the step of _newton_direction with Armijo backtracking
+    from a step length of 1.  A start settles when the step's predicted gain
     g.d is at most _REL_TOL * (1 + |phi|) (that last step is still tried
     once), or when backtracking finds no ascent; it is non-converged if
-    _NEWTON_ITERS iterations pass first.  Returns phi, the final loads and the
-    settled flags, per start.
+    _NEWTON_ITERS iterations pass first.  Returns phi at exp(t), the final
+    t and the settled flags, per start.
 
     The full step is tried for every unsettled start at once, with no
     gathers; only the starts it fails go on to the halved steps.  The
     unsettled set is compacted only in an iteration where some start
     settles.
     """
-    P, k = X.shape
-    G, Y = _load_objective(A, X, v, sig2)
-    X = X.copy()
+    P, k = T.shape
+    G, Y = _load_objective(A, np.exp(T), v, sig2)
+    T = T.copy()
     settled = np.zeros(P, dtype=bool)
     eye = np.eye(k)
+    diag = np.arange(k)
 
     # the unsettled starts, compacted whenever some settle
     alive = np.arange(P)
-    Aa, Xa, Ga, Ya = A, X.copy(), G.copy(), Y
+    Aa, Ta, Ga, Ya = A, T.copy(), G.copy(), Y
     AaT = Aa.transpose(0, 2, 1)
     for _ in range(_NEWTON_ITERS):
+        Xa = np.exp(Ta)
         r = v - np.log(Ya)
         q = (1.0 + r / sig2) / Ya  # d phi / d y
-        g = np.matmul(AaT, q[:, :, None])[:, :, 0]
+        g = Xa * np.matmul(AaT, q[:, :, None])[:, :, 0]
         w = (1.0 + (1.0 + r) / sig2) / (Ya * Ya)  # - d2 phi / d y2
         H = np.matmul(AaT * w[:, None, :], Aa)
-        d = _newton_direction(H, g, Xa, lo, hi, eye)
+        H *= Xa[:, :, None] * Xa[:, None, :]
+        H[:, diag, diag] -= g
+        d = _newton_direction(H, g, Ta, lo, hi, eye)
         final = (g * d).sum(axis=1) <= _REL_TOL * (1.0 + np.abs(Ga))
 
-        # projected Armijo backtracking from t = 1; a final step gets only
-        # that one try
-        trial = np.minimum(np.maximum(Xa + d, lo), hi)
-        Gt, Yt = _load_objective(Aa, trial, v, sig2)
-        gain = ((trial - Xa) * g).sum(axis=1)
+        # projected Armijo backtracking from a step of 1; a final step gets
+        # only that one try
+        trial = np.minimum(np.maximum(Ta + d, lo), hi)
+        Gt, Yt = _load_objective(Aa, np.exp(trial), v, sig2)
+        gain = ((trial - Ta) * g).sum(axis=1)
         ok = Gt >= Ga + _ARMIJO * np.maximum(gain, 0.0)
-        Xn = np.where(ok[:, None], trial, Xa)
+        Tn = np.where(ok[:, None], trial, Ta)
         Gn = np.where(ok, Gt, Ga)
         Yn = np.where(ok[:, None], Yt, Ya)
         pend = np.flatnonzero(~ok & ~final)
-        t = 1.0
+        step = 1.0
         for _ in range(59):
             if pend.size == 0:
                 break
-            t *= 0.5
-            Xp, dp = Xa[pend], d[pend]
-            trial = np.minimum(np.maximum(Xp + t * dp, lo), hi)
-            Gt, Yt = _load_objective(Aa[pend], trial, v, sig2)
-            gain = ((trial - Xp) * g[pend]).sum(axis=1)
+            step *= 0.5
+            Tp, dp = Ta[pend], d[pend]
+            trial = np.minimum(np.maximum(Tp + step * dp, lo), hi)
+            Gt, Yt = _load_objective(Aa[pend], np.exp(trial), v, sig2)
+            gain = ((trial - Tp) * g[pend]).sum(axis=1)
             good = Gt >= Ga[pend] + _ARMIJO * np.maximum(gain, 0.0)
             hit = pend[good]
-            Xn[hit], Gn[hit], Yn[hit] = trial[good], Gt[good], Yt[good]
+            Tn[hit], Gn[hit], Yn[hit] = trial[good], Gt[good], Yt[good]
             ok[hit] = True
             pend = pend[~good]
         # a start whose backtracking found no ascent sits at a stationary point
         done = final | ~ok
         if done.any():
-            X[alive], G[alive] = Xn, Gn
+            T[alive], G[alive] = Tn, Gn
             settled[alive[done]] = True
             keep = ~done
             alive = alive[keep]
             if alive.size == 0:
-                return G, X, settled
-            Aa, Xn, Gn, Yn = Aa[keep], Xn[keep], Gn[keep], Yn[keep]
+                return G, T, settled
+            Aa, Tn, Gn, Yn = Aa[keep], Tn[keep], Gn[keep], Yn[keep]
             AaT = Aa.transpose(0, 2, 1)
-        Xa, Ga, Ya = Xn, Gn, Yn
-    X[alive], G[alive] = Xa, Ga
-    return G, X, settled
+        Ta, Ga, Ya = Tn, Gn, Yn
+    T[alive], G[alive] = Ta, Ga
+    return G, T, settled
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +521,15 @@ def map_list_decode(
     candidate and the readings alone (see _optimize_loads), so the result
     does not depend on how the candidates are batched for the load search.
 
-    A candidate must pool every positive reading.  The covered ones count
-    against cfg.enumeration_cap; once a covered candidate is left unscored,
-    the decode stops and raises BudgetExceeded with what it has.  A covered
-    candidate whose bound misses log alpha + the running best is not worth
-    a load search, since it can neither join the list nor lead it.
+    A candidate must pool every positive reading.  A covered candidate whose
+    per-row bound misses log alpha + the running best is not worth a load
+    search, since it can neither join the list nor lead it.  Before a choice
+    of sizes is listed, the same test is made on the bound of every row at
+    its own peak, which bounds the per-row bound of each candidate of that
+    choice; a choice that misses is skipped without listing it.  The covered
+    candidates of the choices listed count against cfg.enumeration_cap, and
+    the skipped ones do not; once a covered candidate is left unscored, the
+    decode stops and raises BudgetExceeded with what it has.
     """
     if reduced.m_star < 1:
         raise ValueError("decoding needs at least one positive reading")
@@ -545,6 +565,15 @@ def map_list_decode(
     peak = v + sig2
     log_lo, log_hi = math.log(law.lo), math.log(law.hi)
     log_alpha = math.log(cfg.alpha)
+    # Every row at its own unclamped peak bounds every candidate's per-row
+    # bound, since a row's term is exactly its peak value less
+    # (u - peak)^2 / (2 sig^2).  The two bounds round their m* terms, their
+    # sums and the added constants differently, by a few ulps of
+    # |peak| + sig^2 per row, |const| and |prior| each, so the test that
+    # skips a whole size window gets that much slack.
+    ceiling = float((peak - (v - peak) ** 2 / (2.0 * sig2)).sum()) + const
+    ulps = 4.0 * (reduced.m_star + 2) * np.finfo(float).eps
+    scale = float(np.abs(peak).sum()) + reduced.m_star * sig2 + abs(const)
 
     scored = 0
     exceeded = False
@@ -554,6 +583,8 @@ def map_list_decode(
     kept: list[tuple[np.ndarray, np.ndarray]] = []
     for sizes in itertools.product(*windows):
         prior = _prior_part(sum(sizes), reduced.s_star, p, law)
+        if ceiling + prior + ulps * (scale + abs(prior)) < log_alpha + best_logf:
+            continue  # no candidate of this window can reach the list
         for chunk in _block_chunks(blocks, sizes):
             cnt = _row_counts(M, chunk)
             covered = (cnt > 0).all(axis=1)

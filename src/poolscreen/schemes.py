@@ -102,7 +102,7 @@ class PartDiagnostic:
     converged: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialOutcome:
     estimated_support: tuple[int, ...]
     measurements_stage1: int

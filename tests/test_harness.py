@@ -22,7 +22,7 @@ from poolscreen.harness import (
     score_trial,
 )
 from poolscreen.matrices import builtin_matrix, save_matrix
-from poolscreen.model import NoiseModel, Signal, UniformLoad
+from poolscreen.model import NoiseModel, Signal, UniformLoad, apply_noise_vec
 from poolscreen.schemes import SchemeConfig, run_scheme
 
 import dataclasses
@@ -233,7 +233,7 @@ def test_run_experiment_thread_count_does_not_change_decoded_results(tmp_path, s
 
 def test_simulate_output_is_pinned_on_a_small_grid(tmp_path):
     # simulate's output must not move unless a change means it to; digests
-    # taken with numpy 2.4 on x86-64.  The grid holds 39 mixed pairs and 23
+    # taken with numpy 2.4 on x86-64.  The grid holds 39 mixed pairs and 15
     # trials with enumeration-cap hits, in about a second
     cfg = _mini_config(
         k_values=(2, 5, 20), trials=4, master_seed=11, schemes=("stap1", "stap2", "stamp"),
@@ -245,8 +245,8 @@ def test_simulate_output_is_pinned_on_a_small_grid(tmp_path):
         for name in ("results.csv", "trials.jsonl")
     }
     assert digests == {
-        "results.csv": "64232ced380a0ae6e300e2f8dc7b9aefde1b698a0615f08b2721e33996cdd3be",
-        "trials.jsonl": "ba21e085a3ab04a8d4d36e7107f8b09f94c191bfea2dade6ec1e77a98f84946c",
+        "results.csv": "12a96086edfbac387261c9e20648c2e99e00e4fea413ca42f62c0783ac97445c",
+        "trials.jsonl": "1102a6ca732834feaf62dd7ed0af2aad1b0c555e87791eae1e5b8edf00e2e245",
     }
 
 
@@ -349,6 +349,7 @@ _GOOD = _mini_config().to_dict()
         {**_GOOD, "enumeration_cap": 10.5},
         {**_GOOD, "sigma_eps": math.nan},
         {**_GOOD, "sigma_eps": math.inf},
+        {**_GOOD, "sigma_eps": 1e-170},
         {**_GOOD, "load_hi": math.inf},
         {**_GOOD, "pin_builtin_matrices": "false"},
         {**_GOOD, "sigma_eps": True},
@@ -364,8 +365,9 @@ _GOOD = _mini_config().to_dict()
         "unknown_key", "k_window", "enumeration_cap", "kappa", "kappa_3", "sigma_eps", "load_box",
         "trials", "stap_width", "n_float", "q_float", "s_float", "k_float", "trials_bool",
         "master_seed_float", "kappa_float", "k_window_float", "enumeration_cap_float",
-        "sigma_eps_nan", "sigma_eps_inf", "load_hi_inf", "pin_string", "sigma_eps_bool",
-        "load_lo_bool", "alpha_bool", "k_duplicate", "alpha_duplicate", "list", "string", "number",
+        "sigma_eps_nan", "sigma_eps_inf", "sigma_eps_underflow", "load_hi_inf", "pin_string",
+        "sigma_eps_bool", "load_lo_bool", "alpha_bool", "k_duplicate", "alpha_duplicate", "list",
+        "string", "number",
     ],
 )
 def test_cli_simulate_bad_config_exits_2(tmp_path, capsys, raw):
@@ -510,23 +512,48 @@ def test_cli_decode_round_trip(tmp_path, capsys):
     assert payload["budget_exceeded"] is False
 
 
-def test_cli_decode_reports_a_budget_hit(tmp_path, capsys):
-    mat = builtin_matrix(6, 31)
+def _write_found_instance(tmp_path):
+    """The shipped 8x31 design reading positives {3, 9, 20} at loads 120, 40, 700.
+
+    Noise 0.07 from rng 2: 7 of the 8 readings are positive and 18 columns
+    survive, so listing every support size from 1 up would pass the cap.
+    """
+    mat = builtin_matrix(8, 31)
     matrix_path = tmp_path / "design.txt"
     save_matrix(mat, matrix_path)
     loads = np.zeros(31)
-    loads[4] = 620.0  # 4 columns survive, so several supports are covered
+    loads[[3, 9, 20]] = [120.0, 40.0, 700.0]
+    readings = apply_noise_vec(mat.entries @ loads, NoiseModel(0.07), np.random.default_rng(2))
     meas_path = tmp_path / "readings.txt"
-    meas_path.write_text("\n".join(f"{v:.6f}" for v in mat.entries @ loads) + "\n")
-    argv = ["decode", "--matrix", str(matrix_path), "--measurements", str(meas_path)]
-    assert main([*argv, "--cap", "1"]) == 0
+    meas_path.write_text("\n".join(repr(float(v)) for v in readings) + "\n")
+    return ["decode", "--matrix", str(matrix_path), "--measurements", str(meas_path)]
+
+
+def test_cli_decode_skips_sizes_the_bound_rules_out(tmp_path, capsys):
+    # sizes 4 to 18 cannot reach the list once size 3 has scored, so they are
+    # never listed and the decode stays far below the cap
+    assert main(_write_found_instance(tmp_path)) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["survivors"]) == 18
+    assert payload["budget_exceeded"] is False
+    assert payload["scored_subsets"] == 294
+    assert payload["estimate"] == [1, 3, 20]
+    assert payload["best_subset"] == [1, 3, 20]
+    assert payload["best_log_score"] == pytest.approx(-19.66214525819922, abs=1e-9)
+
+
+def test_cli_decode_reports_a_budget_hit(tmp_path, capsys):
+    # 6 covered pairs, then the cap binds among the 288 covered triples,
+    # the size that holds the best
+    argv = _write_found_instance(tmp_path)
+    assert main([*argv, "--cap", "100"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["budget_exceeded"] is True
-    assert payload["scored_subsets"] == 1
+    assert payload["scored_subsets"] == 100
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["budget_exceeded"] is False
-    assert payload["scored_subsets"] > 1
+    assert payload["scored_subsets"] == 294
 
 
 def test_cli_decode_length_mismatch(tmp_path, capsys):
@@ -571,6 +598,19 @@ def test_cli_decode_rejects_non_finite_model_values(tmp_path, capsys, flags):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "finite" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_decode_refuses_a_noise_scale_whose_square_underflows(tmp_path, capsys):
+    mat = builtin_matrix(5, 31)
+    matrix_path = tmp_path / "design.txt"
+    save_matrix(mat, matrix_path)
+    meas_path = tmp_path / "readings.txt"
+    meas_path.write_text("0\n120.5\n98.0\n0\n0\n")
+    argv = ["decode", "--matrix", str(matrix_path), "--measurements", str(meas_path)]
+    assert main([*argv, "--sigma-eps", "1e-200"]) == 2
+    captured = capsys.readouterr()
+    assert "square of at least" in captured.err
     assert captured.out == ""
 
 

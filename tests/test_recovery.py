@@ -384,7 +384,8 @@ def test_score_multistart_runs_agree():
     G, _, conv, a, v = _optimize_subset(red, tuple(loc[c] for c in sup))
     starts = rng.uniform(LAW.lo, LAW.hi, size=(64, 3))
     G_random, _, _ = recovery._newton_ascent(
-        np.repeat(a[None], 64, axis=0), starts, v, NOISE.sigma_eps**2, LAW.lo, LAW.hi
+        np.repeat(a[None], 64, axis=0), np.log(starts), v, NOISE.sigma_eps**2,
+        math.log(LAW.lo), math.log(LAW.hi),
     )
     assert conv
     assert G >= G_random.max() - 1e-9
@@ -482,9 +483,9 @@ def _on_bound(X):
 @pytest.mark.parametrize(
     "k, seed, digest",
     [
-        (2, 0, "c0c4ad460a7f2f88374b47746849df56f9c461f34280e1cfdcb3cfaa38c33d6e"),
-        (3, 1, "6f5f7c26196f079e9c86b13eba33eef217fb11b68642dbe8eed7ff7349071bc3"),
-        (4, 4, "34de20e8e5c1fb982f936717a0fbdfede75d9878d9e641fb38be54d619f9832a"),
+        (2, 0, "f4139fd15b6c9763628ba190c1dc89bfa8b91f64ec4f10edf3429fa2669684d7"),
+        (3, 1, "39abd083eba01634a218328edb273a762d62f75fb74241b6692f72f38efc802e"),
+        (4, 4, "6b94856e427477582d6b58ceb53f0d8b893d795acc2d701eb740a1b7fc321834"),
     ],
     ids=["k2", "k3", "k4"],
 )
@@ -727,6 +728,75 @@ def test_decode_does_not_depend_on_the_chunk_size(monkeypatch):
         for got in results[:-1]:
             assert got == want, seed
             assert got.best.log_score.hex() == want.best.log_score.hex(), seed
+
+
+def _brute_force_list(red, k_hats, width, cfg, p):
+    """Score every covered candidate of every size window; return the alpha-list.
+
+    Gives the estimate, the first best candidate (as survivor columns) with
+    its score, and the number of covered candidates in each window.
+    """
+    v = np.log(red.sub_measurements)
+    const = float(-v.sum() - red.m_star * math.log(NOISE.sigma_eps * math.sqrt(2.0 * math.pi)))
+    blocks = [np.flatnonzero(red.survivors // width == i) for i in range(len(k_hats))]
+    windows = []
+    for k, block in zip(k_hats, blocks):
+        k = min(k, block.size)
+        windows.append(range(max(k - cfg.k_window, 1), min(k + cfg.k_window, block.size) + 1))
+    subsets, scores, covered = [], [], {}
+    for sizes in itertools.product(*windows):
+        parts = [itertools.combinations(b.tolist(), n) for b, n in zip(blocks, sizes)]
+        subs = [sum(combo, ()) for combo in itertools.product(*parts)]
+        subs = [sub for sub in subs if red.sub_matrix[:, list(sub)].any(axis=1).all()]
+        covered[sizes] = len(subs)
+        if subs:
+            a = np.stack([red.sub_matrix[:, list(sub)] for sub in subs])
+            phi, _, _ = _optimize_loads(a, v, NOISE.sigma_eps**2, LAW.lo, LAW.hi)
+            prior = recovery._prior_part(sum(sizes), red.s_star, p, LAW)
+            subsets += subs
+            scores += list(phi + prior + const)
+    top = int(np.argmax(scores))
+    threshold = math.log(cfg.alpha) + scores[top]
+    cols = red.survivors
+    union = {int(cols[j]) for sub, f in zip(subsets, scores) if f >= threshold for j in sub}
+    best = tuple(int(cols[j]) for j in subsets[top])
+    return tuple(sorted(union)), best, scores[top], covered
+
+
+def test_decode_equals_the_brute_force_list_and_skips_windows(monkeypatch):
+    # the per-row bound and the window skip may only save work: the list, the
+    # best and its score are those of scoring every covered candidate, and
+    # only the candidates of windows the decoder lists count as scored
+    listed = []
+    chunks = recovery._block_chunks
+
+    def spy(blocks, sizes):
+        listed.append(tuple(sizes))
+        return chunks(blocks, sizes)
+
+    monkeypatch.setattr(recovery, "_block_chunks", spy)
+    cfg = DecoderConfig(alpha=0.5, k_window=1)
+    instances = [(_shipped_instance(rows, k, seed)[0], (k,), 31)
+                 for rows, k, seeds in ((7, 2, range(4)), (8, 3, range(1, 4))) for seed in seeds]
+    for seed in range(4):
+        # one positive per pool, as in most stamp pairs
+        rng = np.random.default_rng(300 + seed)
+        x = np.zeros(62)
+        x[[rng.integers(0, 31), rng.integers(31, 62)]] = rng.uniform(1.0, 1000.0, size=2)
+        red = comp(_instance(_mixed_matrix(), x, NOISE, rng, stage1=False))
+        instances.append((red, (1, 1), 31))
+    skipped = 0
+    for red, k_hats, width in instances:
+        listed.clear()
+        res = map_list_decode(red, k_hats, width, cfg, 0.05, NOISE, LAW)
+        estimate, best, score, covered = _brute_force_list(red, k_hats, width, cfg, 0.05)
+        assert res.estimate == estimate
+        assert res.best.subset == best
+        assert res.best.log_score == score
+        assert set(listed) <= set(covered)
+        assert res.scored_count == sum(covered[sizes] for sizes in listed)
+        skipped += len(covered) - len(listed)
+    assert skipped > 0
 
 
 def test_decode_validates_k_hat_and_empty_reduction():
