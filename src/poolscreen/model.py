@@ -118,12 +118,14 @@ class NoiseModel:
     sigma_eps: float = 0.1 * math.log(1.95)
 
     def __post_init__(self):
-        # nan would fail no sign test and turn every reading into nan; a scale
-        # whose square underflows would leave the decoder dividing by zero
+        # nan would fail no sign test and turn every reading into nan; the
+        # decoder divides by the square, which must neither underflow nor
+        # overflow (on a float s * s gives inf where s**2 would raise
+        # OverflowError; on an int it is exact)
         s = self.sigma_eps
-        if not (0.0 < s < math.inf and s**2 >= sys.float_info.min):
+        if not (0.0 < s and sys.float_info.min <= s * s <= sys.float_info.max):
             raise ValueError(
-                f"sigma_eps must be finite and positive, with a square of at least "
+                f"sigma_eps must be positive, with a finite square of at least "
                 f"{sys.float_info.min}, got {s}"
             )
 

@@ -524,12 +524,13 @@ def map_list_decode(
     A candidate must pool every positive reading.  A covered candidate whose
     per-row bound misses log alpha + the running best is not worth a load
     search, since it can neither join the list nor lead it.  Before a choice
-    of sizes is listed, the same test is made on the bound of every row at
-    its own peak, which bounds the per-row bound of each candidate of that
-    choice; a choice that misses is skipped without listing it.  The covered
-    candidates of the choices listed count against cfg.enumeration_cap, and
-    the skipped ones do not; once a covered candidate is left unscored, the
-    decode stops and raises BudgetExceeded with what it has.
+    of sizes is listed, the same test is made on the best that any candidate
+    of that choice could score: its prior plus every row at its own peak
+    density.  A choice whose prior alone rules it out is skipped without
+    listing it.  The covered candidates of the choices listed count against
+    cfg.enumeration_cap, and the skipped ones do not; once a covered
+    candidate is left unscored, the decode stops and raises BudgetExceeded
+    with what it has.
     """
     if reduced.m_star < 1:
         raise ValueError("decoding needs at least one positive reading")
@@ -565,15 +566,16 @@ def map_list_decode(
     peak = v + sig2
     log_lo, log_hi = math.log(law.lo), math.log(law.hi)
     log_alpha = math.log(cfg.alpha)
-    # Every row at its own unclamped peak bounds every candidate's per-row
-    # bound, since a row's term is exactly its peak value less
-    # (u - peak)^2 / (2 sig^2).  The two bounds round their m* terms, their
-    # sums and the added constants differently, by a few ulps of
-    # |peak| + sig^2 per row, |const| and |prior| each, so the test that
-    # skips a whole size window gets that much slack.
-    ceiling = float((peak - (v - peak) ** 2 / (2.0 * sig2)).sum()) + const
+    # A row's term peaks at u = v + sig^2 with the value v + sig^2 / 2, and
+    # const holds -sum(v), so no candidate's bound exceeds ceiling + prior:
+    # a size window is skipped when its prior alone rules it out.  The
+    # candidates' bounds round their m* terms, their sums and the added
+    # constants, by a few ulps of |peak| + sig^2 per row, |const| and |prior|
+    # each, and the ceiling by a few of its own; the test gets that much
+    # slack.
+    ceiling = reduced.m_star * (0.5 * sig2 - math.log(noise.sigma_eps * math.sqrt(2.0 * math.pi)))
     ulps = 4.0 * (reduced.m_star + 2) * np.finfo(float).eps
-    scale = float(np.abs(peak).sum()) + reduced.m_star * sig2 + abs(const)
+    scale = float(np.abs(peak).sum()) + reduced.m_star * sig2 + abs(const) + abs(ceiling)
 
     scored = 0
     exceeded = False

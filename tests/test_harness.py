@@ -350,6 +350,8 @@ _GOOD = _mini_config().to_dict()
         {**_GOOD, "sigma_eps": math.nan},
         {**_GOOD, "sigma_eps": math.inf},
         {**_GOOD, "sigma_eps": 1e-170},
+        {**_GOOD, "sigma_eps": 1e200},
+        {**_GOOD, "sigma_eps": 10**200},
         {**_GOOD, "load_hi": math.inf},
         {**_GOOD, "pin_builtin_matrices": "false"},
         {**_GOOD, "sigma_eps": True},
@@ -365,7 +367,8 @@ _GOOD = _mini_config().to_dict()
         "unknown_key", "k_window", "enumeration_cap", "kappa", "kappa_3", "sigma_eps", "load_box",
         "trials", "stap_width", "n_float", "q_float", "s_float", "k_float", "trials_bool",
         "master_seed_float", "kappa_float", "k_window_float", "enumeration_cap_float",
-        "sigma_eps_nan", "sigma_eps_inf", "sigma_eps_underflow", "load_hi_inf", "pin_string",
+        "sigma_eps_nan", "sigma_eps_inf", "sigma_eps_underflow", "sigma_eps_overflow",
+        "sigma_eps_int_overflow", "load_hi_inf", "pin_string",
         "sigma_eps_bool", "load_lo_bool", "alpha_bool", "k_duplicate", "alpha_duplicate", "list",
         "string", "number",
     ],
@@ -601,16 +604,19 @@ def test_cli_decode_rejects_non_finite_model_values(tmp_path, capsys, flags):
     assert captured.out == ""
 
 
-def test_cli_decode_refuses_a_noise_scale_whose_square_underflows(tmp_path, capsys):
+@pytest.mark.parametrize("sigma_eps", ["1e-200", "1e200"], ids=["underflows", "overflows"])
+def test_cli_decode_refuses_a_noise_scale_whose_square_is_not_finite_and_normal(
+    tmp_path, capsys, sigma_eps
+):
     mat = builtin_matrix(5, 31)
     matrix_path = tmp_path / "design.txt"
     save_matrix(mat, matrix_path)
     meas_path = tmp_path / "readings.txt"
     meas_path.write_text("0\n120.5\n98.0\n0\n0\n")
     argv = ["decode", "--matrix", str(matrix_path), "--measurements", str(meas_path)]
-    assert main([*argv, "--sigma-eps", "1e-200"]) == 2
+    assert main([*argv, "--sigma-eps", sigma_eps]) == 2
     captured = capsys.readouterr()
-    assert "square of at least" in captured.err
+    assert "finite square of at least" in captured.err
     assert captured.out == ""
 
 
