@@ -81,15 +81,22 @@ def _irwin_hall_pdf(x: np.ndarray, ks: np.ndarray) -> np.ndarray:
     j > floor(x) vanish through the max, so no explicit floor is needed.
     ks is a 1-D array of counts in [1, 12]; x holds one row per count,
     or one row for all.  Each row is summed over j in increasing order, as
-    for its count alone.
+    for its count alone.  Past the support, x > k, the density is exactly 0:
+    there the sum only cancels to rounding noise, or overflows to nan.
     """
     kcol = ks[:, None]
+    inside = x <= kcol
+    box = (inside & (x >= 0.0)).astype(float)  # k = 1: the indicator of [0, 1]
+    kmax = int(ks.max())
+    if kmax == 1:
+        return box
     coef, gamma = _IH_COEF[ks - 1], _IH_GAMMA[ks - 1, None]
     squared = kcol == 3  # numpy squares a scalar power of 2; an array power would not
-    total = np.zeros(np.broadcast_shapes(kcol.shape, x.shape))
+    x = np.where(inside, x, 0.0)
+    total = np.zeros(x.shape)
     # terms with j > k, or with j >= max(x), are exact zeros, and adding them
     # changes nothing
-    stop = int(ks.max()) + 1
+    stop = kmax + 1
     top = x.max(initial=-np.inf)
     if top < stop:
         stop = max(0, math.ceil(top))
@@ -99,8 +106,8 @@ def _irwin_hall_pdf(x: np.ndarray, ks: np.ndarray) -> np.ndarray:
         np.copyto(power, np.square(base), where=squared)
         total += coef[:, j, None] * power
     # cancellation can leave tiny negative dust near the support edges
-    out = np.clip(total / gamma, 0.0, None)
-    return np.where(kcol == 1, ((x >= 0.0) & (x <= 1.0)).astype(float), out)
+    out = np.where(inside, np.clip(total / gamma, 0.0, None), 0.0)
+    return np.where(kcol == 1, box, out)
 
 
 # ---------------------------------------------------------------------------

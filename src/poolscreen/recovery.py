@@ -110,62 +110,93 @@ def estimate_prevalence(t: int, q: int, s: int) -> float:
 _GH_X, _GH_W = np.polynomial.hermite.hermgauss(64)
 
 
-def sum_measurement_logpdf(
-    z: float, ks: np.ndarray, law: UniformLoad, noise: NoiseModel
-) -> np.ndarray:
-    """Log density at z > 0 of (sum of k iid loads) times the noise factor.
-
-    ks is a 1-D array of counts >= 1, giving one log density per count.  The
-    noise is integrated out with Gauss-Hermite quadrature in log space, all
-    counts in one pass.
-    """
-    if z <= 0:
-        raise ValueError("z must be positive")
-    u = math.sqrt(2.0) * noise.sigma_eps * _GH_X
-    shrink = np.exp(-u)
-    fy = law.sum_density(ks, z * shrink)
-    vals = (_GH_W * fy * shrink).sum(axis=1) / _SQRT_PI
-    return np.array([math.log(v) if v > 0.0 else -math.inf for v in vals.tolist()])
-
-
 @lru_cache(maxsize=8)
-def _log_binomial(s: int) -> np.ndarray:
-    """log C(s, k) for k = 1..s."""
-    out = np.array(
+def _noise_shrink(sigma_eps: float) -> np.ndarray:
+    """The load factors exp(-u) at the quadrature's nodes, read-only."""
+    shrink = np.exp(-(math.sqrt(2.0) * sigma_eps * _GH_X))
+    shrink.flags.writeable = False
+    return shrink
+
+
+def sum_measurement_logpdf(
+    z: np.ndarray, ks: np.ndarray, law: UniformLoad, noise: NoiseModel
+) -> np.ndarray:
+    """Log density at each reading z > 0 of (sum of k iid loads) times the noise factor.
+
+    z and ks are 1-D arrays, ks of counts >= 1; row i, column j is the log
+    density of count ks[i] at reading z[j].  The noise is integrated out with
+    Gauss-Hermite quadrature in log space, every count and reading in one
+    pass; each entry is computed as for its count and reading alone.
+    """
+    shrink = _noise_shrink(noise.sigma_eps)
+    fy = law.sum_density(ks, (z[:, None] * shrink).ravel())
+    vals = (_GH_W * fy.reshape(ks.shape[0], z.shape[0], _GH_X.shape[0]) * shrink).sum(axis=2)
+    vals /= _SQRT_PI
+    return np.array(
+        [math.log(v) if v > 0.0 else -math.inf for v in vals.ravel().tolist()]
+    ).reshape(vals.shape)
+
+
+@lru_cache(maxsize=64)
+def _log_prior(s: int, p: float) -> np.ndarray:
+    """Binomial(s, p) log prior of k = 1..s positives, read-only."""
+    ks = np.arange(1, s + 1)
+    log_binomial = np.array(
         [math.lgamma(s + 1) - math.lgamma(k + 1) - math.lgamma(s - k + 1) for k in range(1, s + 1)]
     )
+    out = log_binomial + ks * math.log(p) + (s - ks) * math.log1p(-p)
     out.flags.writeable = False
     return out
 
 
-def count_log_posterior(
-    z1: float, s: int, p: float, noise: NoiseModel, law: UniformLoad
+def estimate_pool_count(
+    z: np.ndarray, s: int, p: float, noise: NoiseModel, law: UniformLoad
 ) -> np.ndarray:
-    """Unnormalized log posterior over k = 1..s given a positive pool reading.
+    """Most probable number of positives in each pool, read as z > 0.
 
-    Binomial(s, p) prior, 0 < p < 1, restricted to k >= 1 times the reading
-    density.
+    The posterior over k = 1..s is the Binomial(s, p) prior, 0 < p < 1,
+    restricted to k >= 1, times the reading density.  Counts are scored in
+    blocks, k = 1 first and then blocks that double in size, each only for
+    the pools whose best score so far a count of the block could beat: that
+    count's log prior plus the ceiling of the log density must reach it.  A
+    score and the ceiling each round a 64-term sum, its log and an added
+    prior, by a few ulps each, and the test gets that much slack.  So each
+    estimate is its posterior's argmax, and depends on its pool's reading
+    alone.  Ties resolve toward the smaller count.
     """
-    if z1 <= 0:
-        raise ValueError("the pool reading must be positive")
+    z = np.asarray(z, dtype=np.float64)
+    if np.any(z <= 0):
+        raise ValueError("pool readings must be positive")
     if s < 1:
         raise ValueError("s must be >= 1")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     ks = np.arange(1, s + 1)
-    log_prior = _log_binomial(s) + ks * math.log(p) + (s - ks) * math.log1p(-p)
-    return log_prior + sum_measurement_logpdf(z1, ks, law, noise)
-
-
-def estimate_pool_count(
-    z1: float, s: int, p: float, noise: NoiseModel, law: UniformLoad
-) -> int:
-    """Most probable number of positives in a pool read as z1 > 0.
-
-    Ties resolve toward the smaller count.
-    """
-    post = count_log_posterior(z1, s, p, noise, law)
-    return int(np.argmax(post)) + 1  # first maximum = smallest k
+    log_prior = _log_prior(s, p)
+    # no sum of loads uniform on [lo, hi] has a density above 1 / (hi - lo),
+    # so no count's quadrature exceeds the one with that density at every node
+    shrink = _noise_shrink(noise.sigma_eps)
+    ceiling = math.log(float((_GH_W * shrink).sum()) / (_SQRT_PI * (law.hi - law.lo)))
+    ulps = 4.0 * (_GH_X.shape[0] + 2) * np.finfo(float).eps
+    prior = log_prior.tolist()
+    best = np.full(z.shape[0], -math.inf)
+    k_hat = np.ones(z.shape[0], dtype=np.intp)
+    worst = -math.inf  # the lowest best of any pool
+    first = 1
+    while first <= s:
+        block = slice(first - 1, 2 * first - 1)
+        top = max(prior[block])
+        reach = top + ceiling + ulps * (1.0 + abs(top) + abs(ceiling))
+        if reach >= worst:
+            live = np.flatnonzero(reach >= best)
+            post = log_prior[block, None] + sum_measurement_logpdf(z[live], ks[block], law, noise)
+            at = post.argmax(axis=0)  # first maximum = smallest k
+            score = post[at, np.arange(live.size)]
+            win = score > best[live]
+            best[live[win]], k_hat[live[win]] = score[win], first + at[win]
+            worst = float(best.min())
+        first *= 2
+    return k_hat
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +351,16 @@ def _newton_direction(H, g, X, lo, hi, eye):
 _NEWTON_BLOCK = 256
 
 
+@lru_cache(maxsize=64)
+def _fixed_log_starts(k, lo, hi):
+    """ln of the fixed starts of _optimize_loads: (_STARTS - 1, k), read-only."""
+    S = _STARTS - 1
+    slot = np.add.outer(np.arange(S), np.arange(k)) % S
+    out = np.log(lo + (hi - lo) * (slot + 0.5) / S)
+    out.flags.writeable = False
+    return out
+
+
 def _optimize_loads(A, v, sig2, lo, hi):
     """Multi-start projected Newton ascent of the load log-objective.
 
@@ -360,10 +401,9 @@ def _optimize_loads(A, v, sig2, lo, hi):
     x0 = np.einsum("nmk,nm->nk", A, shares) / np.maximum(colw, 1.0)
     x0[colw == 0] = 0.5 * (lo + hi)
     np.clip(x0, lo, hi, out=x0)
-    S = _STARTS - 1
-    slot = np.add.outer(np.arange(S), np.arange(k)) % S  # (S, k)
-    fixed = lo + (hi - lo) * (slot + 0.5) / S
-    T = np.log(np.concatenate([x0[:, None, :], np.broadcast_to(fixed, (N, S, k))], axis=1))
+    T = np.empty((N, _STARTS, k))
+    T[:, 0] = np.log(x0)
+    T[:, 1:] = _fixed_log_starts(k, lo, hi)
     t_lo, t_hi = math.log(lo), math.log(hi)
     G = np.empty((N, _STARTS))
     settled = np.empty((N, _STARTS), dtype=bool)
@@ -396,8 +436,9 @@ def _newton_ascent(A, T, v, sig2, lo, hi):
     t and the settled flags, per start.
 
     The full step is tried for every unsettled start at once, with no
-    gathers; only the starts it fails go on to the halved steps.  The
-    unsettled set is compacted only in an iteration where some start
+    gathers; only the starts it fails go on to the halved steps, and an
+    iteration where every start takes it and none settles merges nothing.
+    The unsettled set is compacted only in an iteration where some start
     settles.
     """
     P, k = T.shape
@@ -429,6 +470,10 @@ def _newton_ascent(A, T, v, sig2, lo, hi):
         Gt, Yt = _load_objective(Aa, np.exp(trial), v, sig2)
         gain = ((trial - Ta) * g).sum(axis=1)
         ok = Gt >= Ga + _ARMIJO * np.maximum(gain, 0.0)
+        if ok.all() and not final.any():
+            # every start took its full step and none settles: nothing to merge
+            Ta, Ga, Ya = trial, Gt, Yt
+            continue
         Tn = np.where(ok[:, None], trial, Ta)
         Gn = np.where(ok, Gt, Ga)
         Yn = np.where(ok[:, None], Yt, Ya)

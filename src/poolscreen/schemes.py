@@ -177,9 +177,10 @@ def _prevalence(cfg: SchemeConfig, t: int) -> float:
     return estimate_prevalence(t - 0.5 if t == cfg.q else t, cfg.q, cfg.s)
 
 
-def _stage2_matrix(cfg: SchemeConfig, rows: int, width: int, rng: np.random.Generator):
+def _stage2_matrix(cfg: SchemeConfig, rows: int, width: int, seed: int):
     if cfg.pin_builtin_matrices:
         return builtin_matrix(rows, width).entries.astype(np.float64)
+    rng = np.random.default_rng(seed)
     return profile_sample(BUILTIN_PROFILES[(rows, width)], rng).entries.astype(np.float64)
 
 
@@ -238,8 +239,9 @@ def _run_adaptive(
     ones.  Each part reads its pools' columns together through one
     rows x (|pools| * s) matrix and decodes them, with their stage-1
     readings, as one instance whose column blocks are the pools.  Each part
-    draws its own generator, which only the stage-2 sampler uses; pinned
-    designs draw it too, so sampled and pinned runs read the same noise.
+    draws a seed from rng; only the stage-2 sampler builds a generator from
+    it, but pinned designs draw the seed too, so sampled and pinned runs read
+    the same noise.
     """
     _check_signal(signal, cfg)
     meter = _Meter(noise, rng)
@@ -249,10 +251,9 @@ def _run_adaptive(
     values = np.asarray(signal.values)
     s = cfg.s
     p = _prevalence(cfg, t)
-    k_hats = {
-        int(l): estimate_pool_count(float(z1[l]), cfg.s, p, noise, cfg.load_law)
-        for l in positives
-    }
+    # one count estimate per positive pool; with none, p = 0 and nothing to count
+    counts = estimate_pool_count(z1[positives], s, p, noise, cfg.load_law).tolist() if t else []
+    k_hats = dict(zip(positives.tolist(), counts))
 
     if cfg.scheme == "stamp":
         # heaviest pools first; ties keep the earlier pool first
@@ -266,16 +267,17 @@ def _run_adaptive(
     diagnostics: list[PartDiagnostic] = []
     pipetting = cfg.n
     for pools in parts:
-        part_rng = np.random.default_rng(rng.integers(0, 2**63))
+        seed = rng.integers(0, 2**63)
         part_k_hats = tuple(k_hats[l] for l in pools)
         if len(pools) == 1:
             rows, decode = cfg.rows_for_count(*part_k_hats), map_list_decode
         else:
             rows, decode = cfg.rows_for_pair(*part_k_hats), map_list_decode_mixed
         cols = np.concatenate([np.arange(l * s, (l + 1) * s) for l in pools])
-        mat = _stage2_matrix(cfg, rows, cols.shape[0], part_rng)
+        mat = _stage2_matrix(cfg, rows, cols.shape[0], seed)
         z2 = meter.read(mat @ values[cols])
-        decode_matrix = np.vstack([np.kron(np.eye(len(pools)), np.ones((1, s))), mat])
+        # one stage-1 row per pool, over that pool's block of columns
+        decode_matrix = np.vstack([np.repeat(np.eye(len(pools)), s, axis=1), mat])
         red = comp(PoolInstance(decode_matrix, np.concatenate([z1[list(pools)], z2])))
         try:
             res = decode(red, part_k_hats, s, cfg.decoder, p, noise, cfg.load_law)

@@ -250,6 +250,25 @@ def test_simulate_output_is_pinned_on_a_small_grid(tmp_path):
     }
 
 
+def test_simulate_output_is_pinned_on_a_small_sampled_grid(tmp_path):
+    # the same guard for sampled stage-2 designs, whose draws follow each
+    # part's seed; the grid holds 31 mixed pairs, count estimates up to 3
+    # and 5 trials with enumeration-cap hits, in about half a second
+    cfg = _mini_config(
+        k_values=(2, 5, 20), trials=3, master_seed=13, schemes=("stap1", "stap2", "stamp"),
+        kappa=2, pin_builtin_matrices=False, k_window=1, enumeration_cap=200,
+    )
+    run_experiment(cfg, out_dir=tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("results.csv", "trials.jsonl")
+    }
+    assert digests == {
+        "results.csv": "3b4846052986d905dbad05cb785b79b022a24f88b3beb6cee3386eb6ee171f1c",
+        "trials.jsonl": "002945103272489251edb47a865ef2eaeea98dcdd2885733e4bd497edb186697",
+    }
+
+
 def test_trial_records_are_self_consistent():
     cfg = _mini_config(schemes=("stap2",), trials=2, k_values=(3,))
     _, records = run_experiment(cfg)

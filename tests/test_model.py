@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,16 @@ def test_irwin_hall_integrates_to_one():
         x = np.linspace(0.0, k, 20_001)
         total = np.trapezoid(_irwin_hall_pdf(x, np.array([k]))[0], x)
         assert total == pytest.approx(1.0, abs=1e-6)
+
+
+def test_irwin_hall_is_zero_past_its_support():
+    # the alternating sum overflows (1e30) or cancels to noise (13, 40) there
+    ks = np.array([1, 2, 3, 11, 12])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.array_equal(_irwin_hall_pdf(np.array([1e30]), np.array([12])), [[0.0]])
+        got = _irwin_hall_pdf(np.array([13.0, 40.0, 1e30]), ks)
+    assert np.array_equal(got, np.zeros((5, 3)))
 
 
 def test_sum_density_normal_regime_matches_moments():

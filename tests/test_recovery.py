@@ -9,6 +9,7 @@ feasibility.
 import hashlib
 import itertools
 import math
+import warnings
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -26,7 +27,6 @@ from poolscreen.recovery import (
     PoolInstance,
     ReducedInstance,
     comp,
-    count_log_posterior,
     estimate_pool_count,
     estimate_prevalence,
     map_list_decode,
@@ -178,40 +178,53 @@ def _oracle_count_logpost(z1, s, p, noise, ks):
     return np.array(out)
 
 
+def _log_prior(s, p):
+    ks = np.arange(1, s + 1)
+    binom = np.array([math.lgamma(s + 1) - math.lgamma(k + 1) - math.lgamma(s - k + 1) for k in ks])
+    return binom + ks * math.log(p) + (s - ks) * math.log1p(-p)
+
+
+def _count_log_posterior(z1, s, p, noise, law):
+    """Full-posterior reference: the unnormalized log posterior over k = 1..s
+    for one positive pool read as z1, every count scored."""
+    like = sum_measurement_logpdf(np.array([z1]), np.arange(1, s + 1), law, noise)
+    return _log_prior(s, p) + like[:, 0]
+
+
 def test_sum_logpdf_closed_form_single_load():
     # one load, reading deep inside the box: density is E[1/eps]/999 exactly
-    [got] = sum_measurement_logpdf(30.0, np.array([1]), LAW, NOISE)
+    [[got]] = sum_measurement_logpdf(np.array([30.0]), np.array([1]), LAW, NOISE)
     want = -math.log(999.0) + NOISE.sigma_eps**2 / 2.0
     assert got == pytest.approx(want, abs=1e-12)
     with pytest.raises(ValueError, match="k must be"):
-        sum_measurement_logpdf(30.0, np.array([1, 0]), LAW, NOISE)
+        sum_measurement_logpdf(np.array([30.0]), np.array([1, 0]), LAW, NOISE)
 
 
 def test_sum_logpdf_matches_quadrature_oracle():
     # quadrature tolerance is loosest where the sum density kinks (small k)
     for k, z, tol in [(1, 30.0, 1e-9), (2, 1700.0, 2e-3), (3, 2900.0, 2e-3),
                       (5, 2444.5, 2e-3), (14, 7777.0, 5e-2)]:
-        [got] = sum_measurement_logpdf(z, np.array([k]), LAW, NOISE)
+        [[got]] = sum_measurement_logpdf(np.array([z]), np.array([k]), LAW, NOISE)
         want = _oracle_count_logpost(z, 31, 0.5, NOISE, [k])[0]
         want -= math.log(math.comb(31, k) * 0.5**31)
         assert got == pytest.approx(want, abs=tol)
 
 
 def test_count_estimate_single_load_scale():
-    assert estimate_pool_count(30.0, 31, 0.01, NOISE, LAW) == 1
+    assert estimate_pool_count(np.array([30.0]), 31, 0.01, NOISE, LAW).tolist() == [1]
     oracle = _oracle_count_logpost(30.0, 31, 0.01, NOISE, range(1, 9))
     assert int(np.argmax(oracle)) + 1 == 1
 
 
 def test_count_estimate_forced_past_two_loads():
     # 2900 exceeds twice the maximum load, so k >= 3 and the prior picks 3
-    assert estimate_pool_count(2900.0, 31, 0.01, NOISE, LAW) == 3
+    assert estimate_pool_count(np.array([2900.0]), 31, 0.01, NOISE, LAW).tolist() == [3]
     oracle = _oracle_count_logpost(2900.0, 31, 0.01, NOISE, range(1, 9))
     assert int(np.argmax(oracle)) + 1 == 3
 
 
 def test_count_posterior_matches_oracle_curve():
-    got = count_log_posterior(777.0, 31, 0.05, NOISE, LAW)[:8]
+    got = _count_log_posterior(777.0, 31, 0.05, NOISE, LAW)[:8]
     want = _oracle_count_logpost(777.0, 31, 0.05, NOISE, range(1, 9))
     finite = np.isfinite(want)
     assert np.allclose(got[finite], want[finite], rtol=1e-5, atol=1e-6)
@@ -219,9 +232,9 @@ def test_count_posterior_matches_oracle_curve():
 
 def test_count_estimate_rejects_nonpositive_reading():
     with pytest.raises(ValueError):
-        estimate_pool_count(0.0, 31, 0.01, NOISE, LAW)
+        estimate_pool_count(np.array([30.0, 0.0]), 31, 0.01, NOISE, LAW)
     with pytest.raises(ValueError):
-        estimate_pool_count(-3.0, 31, 0.01, NOISE, LAW)
+        estimate_pool_count(np.array([-3.0]), 31, 0.01, NOISE, LAW)
 
 
 GH_NODES = np.polynomial.hermite.hermgauss(64)
@@ -230,18 +243,21 @@ GH_NODES = np.polynomial.hermite.hermgauss(64)
 def _scalar_count_log_posterior(z1, s, p, noise, law):
     """Reference: the count posterior evaluated one k at a time.
 
-    The per-k loop the vectorized posterior replaced, kept verbatim: one
-    Irwin-Hall sum (k <= 12) or matched normal (k > 12) per count, one
-    Gauss-Hermite quadrature per count.
+    The per-k loop the vectorized posterior replaced: one Irwin-Hall sum
+    (k <= 12, and 0 past its support) or matched normal (k > 12) per count,
+    one Gauss-Hermite quadrature per count.
     """
 
     def irwin_hall(x, k):
         if k == 1:
             return ((x >= 0.0) & (x <= 1.0)).astype(float)
+        # past the support the density is 0, where the sum only cancels to noise
+        inside = x <= k
+        x = np.where(inside, x, 0.0)
         total = np.zeros_like(x)
         for j in range(k + 1):
             total += (-1.0) ** j * math.comb(k, j) * np.clip(x - j, 0.0, None) ** (k - 1)
-        return np.clip(total / math.gamma(k), 0.0, None)
+        return np.where(inside, np.clip(total / math.gamma(k), 0.0, None), 0.0)
 
     def sum_density(k, y):
         width = law.hi - law.lo
@@ -275,8 +291,62 @@ def test_count_posterior_equals_per_count_reference():
         for s in (1, 12, 13, 31):
             for z in zs.tolist():
                 want = _scalar_count_log_posterior(z, s, p, NOISE, LAW)
-                got = count_log_posterior(z, s, p, NOISE, LAW)
+                got = _count_log_posterior(z, s, p, NOISE, LAW)
                 assert np.array_equal(got, want), (z, s, p)
+
+
+def test_count_pass_equals_full_posterior(monkeypatch):
+    # the prior's mode lies past k = 1 at p = 0.3; every count the pass
+    # scores is the full posterior's value to the last bit, and the pass
+    # scores fewer counts than the full posterior where the prior rules
+    # them out
+    lo, hi = LAW.lo, LAW.hi
+    zs = np.concatenate([np.geomspace(0.5, 3e4, 41), np.arange(1, 32) * lo, np.arange(1, 31) * hi])
+    full = sum_measurement_logpdf
+    scored = []
+
+    def recorded(z, ks, law, noise):
+        out = full(z, ks, law, noise)
+        scored.append((z, ks, out))
+        return out
+
+    monkeypatch.setattr(recovery, "sum_measurement_logpdf", recorded)
+    for p in (1e-3, 0.05, 0.125, 0.3):
+        for s in (1, 12, 13, 31):
+            want = {z: _scalar_count_log_posterior(z, s, p, NOISE, LAW) for z in zs.tolist()}
+            scored.clear()
+            got = estimate_pool_count(zs, s, p, NOISE, LAW)
+            assert got.tolist() == [int(np.argmax(want[z])) + 1 for z in zs.tolist()], (s, p)
+            prior = _log_prior(s, p)
+            for z, ks, out in scored:
+                for k, row in zip(ks.tolist(), out):
+                    assert np.array_equal(prior[k - 1] + row, [want[x][k - 1] for x in z.tolist()])
+            if p == 1e-3 and s == 31:
+                assert sum(out.size for _, _, out in scored) < zs.size * s
+
+
+def test_count_estimate_does_not_depend_on_its_batch():
+    zs = np.concatenate([np.geomspace(0.5, 3e4, 41), np.arange(1, 31) * LAW.hi])
+    for p in (1e-3, 0.125, 0.3):
+        got = estimate_pool_count(zs, 31, p, NOISE, LAW)
+        alone = [int(estimate_pool_count(np.array([z]), 31, p, NOISE, LAW)[0]) for z in zs.tolist()]
+        assert got.tolist() == alone
+        assert np.array_equal(estimate_pool_count(zs[::-1], 31, p, NOISE, LAW), got[::-1])
+
+
+def test_count_posterior_is_finite_at_a_wide_noise_scale():
+    # at sigma 5 the quadrature reads the sum densities far past their
+    # support, where the Irwin-Hall sum overflows or cancels to noise
+    noise = NoiseModel(5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        post = _count_log_posterior(500.0, 31, 0.05, noise, LAW)
+        k_hat = estimate_pool_count(np.array([500.0]), 31, 0.05, noise, LAW)
+    shrink = np.exp(-math.sqrt(2.0) * noise.sigma_eps * GH_NODES[0])
+    ceiling = math.log((GH_NODES[1] * shrink).sum() / math.sqrt(math.pi) / (LAW.hi - LAW.lo))
+    like = post - _log_prior(31, 0.05)
+    assert np.all(np.isfinite(like)) and np.all(like <= ceiling + 1e-12)
+    assert k_hat.tolist() == [int(np.argmax(post)) + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +767,7 @@ def test_decode_meeting_the_cap_exactly_is_no_budget_hit():
 @pytest.mark.parametrize("p", [0.0, 1.0])
 def test_decoding_needs_prevalence_strictly_inside_0_1(p):
     with pytest.raises(ValueError, match="p must lie"):
-        count_log_posterior(50.0, 31, p, NOISE, LAW)
+        estimate_pool_count(np.array([50.0]), 31, p, NOISE, LAW)
     with pytest.raises(ValueError, match="p must lie"):
         map_list_decode(_single_row_reduced(5.0), (1,), 1, DecoderConfig(), p, NOISE, LAW)
 

@@ -340,6 +340,25 @@ def test_all_pools_negative_short_circuits():
         assert out.diagnostics == ()
 
 
+def test_one_count_call_per_trial_with_a_positive_pool(monkeypatch):
+    # every positive pool's reading goes to one call; no positive pool, no call
+    calls = []
+
+    def counted(z, *args):
+        calls.append(z.tolist())
+        return recovery.estimate_pool_count(z, *args)
+
+    monkeypatch.setattr(schemes, "estimate_pool_count", counted)
+    signal = generate_signal_fixed_k(961, 5, LAW, np.random.default_rng(5))
+    t = len(_positive_pools(signal, 31, 31))
+    for scheme in ("stap1", "stap2", "stamp"):
+        calls.clear()
+        run_scheme(Signal(np.zeros(961)), _cfg(scheme), NOISE, np.random.default_rng(0))
+        assert calls == []
+        run_scheme(signal, _cfg(scheme), NOISE, np.random.default_rng(0))
+        assert len(calls) == 1 and len(calls[0]) == t
+
+
 def test_pinned_matrices_reproduce_exactly():
     cfg = _cfg("stap2", pin_builtin_matrices=True)
     rng1 = np.random.default_rng(8)
