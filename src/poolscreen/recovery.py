@@ -181,20 +181,18 @@ def estimate_pool_count(
     prior = log_prior.tolist()
     best = np.full(z.shape[0], -math.inf)
     k_hat = np.ones(z.shape[0], dtype=np.intp)
-    worst = -math.inf  # the lowest best of any pool
     first = 1
     while first <= s:
         block = slice(first - 1, 2 * first - 1)
         top = max(prior[block])
         reach = top + ceiling + ulps * (1.0 + abs(top) + abs(ceiling))
-        if reach >= worst:
-            live = np.flatnonzero(reach >= best)
+        live = np.flatnonzero(reach >= best)
+        if live.size:
             post = log_prior[block, None] + sum_measurement_logpdf(z[live], ks[block], law, noise)
             at = post.argmax(axis=0)  # first maximum = smallest k
             score = post[at, np.arange(live.size)]
             win = score > best[live]
             best[live[win]], k_hat[live[win]] = score[win], first + at[win]
-            worst = float(best.min())
         first *= 2
     return k_hat
 
@@ -351,16 +349,6 @@ def _newton_direction(H, g, X, lo, hi, eye):
 _NEWTON_BLOCK = 256
 
 
-@lru_cache(maxsize=64)
-def _fixed_log_starts(k, lo, hi):
-    """ln of the fixed starts of _optimize_loads: (_STARTS - 1, k), read-only."""
-    S = _STARTS - 1
-    slot = np.add.outer(np.arange(S), np.arange(k)) % S
-    out = np.log(lo + (hi - lo) * (slot + 0.5) / S)
-    out.flags.writeable = False
-    return out
-
-
 def _optimize_loads(A, v, sig2, lo, hi):
     """Multi-start projected Newton ascent of the load log-objective.
 
@@ -403,7 +391,10 @@ def _optimize_loads(A, v, sig2, lo, hi):
     np.clip(x0, lo, hi, out=x0)
     T = np.empty((N, _STARTS, k))
     T[:, 0] = np.log(x0)
-    T[:, 1:] = _fixed_log_starts(k, lo, hi)
+    S = _STARTS - 1
+    slot = np.add.outer(np.arange(S), np.arange(k)) % S  # (S, k)
+    fixed = lo + (hi - lo) * (slot + 0.5) / S
+    T[:, 1:] = np.log(fixed)
     t_lo, t_hi = math.log(lo), math.log(hi)
     G = np.empty((N, _STARTS))
     settled = np.empty((N, _STARTS), dtype=bool)
@@ -436,9 +427,8 @@ def _newton_ascent(A, T, v, sig2, lo, hi):
     t and the settled flags, per start.
 
     The full step is tried for every unsettled start at once, with no
-    gathers; only the starts it fails go on to the halved steps, and an
-    iteration where every start takes it and none settles merges nothing.
-    The unsettled set is compacted only in an iteration where some start
+    gathers; only the starts it fails go on to the halved steps.  The
+    unsettled set is compacted only in an iteration where some start
     settles.
     """
     P, k = T.shape
@@ -470,10 +460,6 @@ def _newton_ascent(A, T, v, sig2, lo, hi):
         Gt, Yt = _load_objective(Aa, np.exp(trial), v, sig2)
         gain = ((trial - Ta) * g).sum(axis=1)
         ok = Gt >= Ga + _ARMIJO * np.maximum(gain, 0.0)
-        if ok.all() and not final.any():
-            # every start took its full step and none settles: nothing to merge
-            Ta, Ga, Ya = trial, Gt, Yt
-            continue
         Tn = np.where(ok[:, None], trial, Ta)
         Gn = np.where(ok, Gt, Ga)
         Yn = np.where(ok[:, None], Yt, Ya)
