@@ -87,13 +87,18 @@ def _irwin_hall_pdf(x: np.ndarray, ks: np.ndarray) -> np.ndarray:
     kcol = ks[:, None]
     inside = x <= kcol
     box = (inside & (x >= 0.0)).astype(float)  # k = 1: the indicator of [0, 1]
+    kmax = int(ks.max())
+    if kmax == 1:
+        # the count pass scores k = 1 alone for most pools, and the sum below
+        # would cost that call about as much again for the same box
+        return box
     coef, gamma = _IH_COEF[ks - 1], _IH_GAMMA[ks - 1, None]
     squared = kcol == 3  # numpy squares a scalar power of 2; an array power would not
     x = np.where(inside, x, 0.0)
     total = np.zeros(x.shape)
     # terms with j > k, or with j >= max(x), are exact zeros, and adding them
     # changes nothing
-    stop = int(ks.max()) + 1
+    stop = kmax + 1
     top = x.max(initial=-np.inf)
     if top < stop:
         stop = max(0, math.ceil(top))
