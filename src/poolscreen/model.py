@@ -47,69 +47,38 @@ class UniformLoad:
     def sum_density(self, ks: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Density of the sum of k independent loads at the points y, one row per count.
 
-        ks is a 1-D array of counts >= 1 and y a 1-D array.  Exact piecewise
-        polynomial (Irwin-Hall rescaled from [0,1]^k) for k <= 12; a
-        matched-moment normal approximation beyond, where the alternating-sum
-        form loses too many digits to cancellation.
+        ks is a 1-D array of counts >= 1 and y a 1-D array.  The Irwin-Hall
+        density rescaled from [0,1]^k to [lo, hi]^k, exact at every count.
         """
         if np.any(ks < 1):
             raise ValueError("k must be >= 1")
-        kcol = ks[:, None]
         width = self.hi - self.lo
-        out = np.empty((ks.shape[0], y.shape[0]))
-        exact = ks <= 12
-        if exact.any():
-            u = (y - kcol[exact] * self.lo) / width
-            out[exact] = _irwin_hall_pdf(u, ks[exact]) / width
-        if not exact.all():
-            kn = kcol[~exact]
-            mean = kn * 0.5 * (self.lo + self.hi)
-            var = kn * width * width / 12.0
-            out[~exact] = np.exp(-0.5 * (y - mean) ** 2 / var) / np.sqrt(2.0 * math.pi * var)
-        return out
-
-
-# Irwin-Hall terms of the counts k = 1..12, row k - 1: (-1)^j C(k, j) for j = 0..12, and (k-1)!
-_IH_COEF = np.array([[(-1.0) ** j * math.comb(k, j) for j in range(13)] for k in range(1, 13)])
-_IH_GAMMA = np.array([math.gamma(k) for k in range(1, 13)])
+        return _irwin_hall_pdf((y - ks[:, None] * self.lo) / width, ks) / width
 
 
 def _irwin_hall_pdf(x: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Standard Irwin-Hall density (sum of k uniforms on [0,1]) at x, one row per count.
 
-    f(x) = 1/(k-1)! * sum_j (-1)^j C(k,j) max(x-j, 0)^(k-1); terms with
-    j > floor(x) vanish through the max, so no explicit floor is needed.
-    ks is a 1-D array of counts in [1, 12]; x holds one row per count,
-    or one row for all.  Each row is summed over j in increasing order, as
-    for its count alone.  Past the support, x > k, the density is exactly 0:
-    there the sum only cancels to rounding noise, or overflows to nan.
+    The cardinal B-spline recursion
+    M_j(x) = (x M_{j-1}(x) + (j - x) M_{j-1}(x - 1)) / (j - 1), run on the
+    shifts M_j(x - i) from the half-open unit boxes M_1(x - i), i = 0..k-1;
+    k = 1 is the closed box [0, 1].  Both terms of a step are non-negative
+    where they are nonzero, so nothing cancels or overflows, and the density
+    is exactly 0 outside its support.  ks is a 1-D array of counts >= 1; x
+    holds one row per count, or one row for all.  Each row is computed as
+    for its count alone.
     """
     kcol = ks[:, None]
-    inside = x <= kcol
-    box = (inside & (x >= 0.0)).astype(float)  # k = 1: the indicator of [0, 1]
+    x = np.broadcast_to(x, (ks.shape[0], x.shape[-1]))
+    out = ((x >= 0.0) & (x <= 1.0)).astype(float)
     kmax = int(ks.max())
-    if kmax == 1:
-        # the count pass scores k = 1 alone for most pools, and the sum below
-        # would cost that call about as much again for the same box
-        return box
-    coef, gamma = _IH_COEF[ks - 1], _IH_GAMMA[ks - 1, None]
-    squared = kcol == 3  # numpy squares a scalar power of 2; an array power would not
-    x = np.where(inside, x, 0.0)
-    total = np.zeros(x.shape)
-    # terms with j > k, or with j >= max(x), are exact zeros, and adding them
-    # changes nothing
-    stop = kmax + 1
-    top = x.max(initial=-np.inf)
-    if top < stop:
-        stop = max(0, math.ceil(top))
-    for j in range(stop):
-        base = np.clip(x - j, 0.0, None)
-        power = base ** (kcol - 1)
-        np.copyto(power, np.square(base), where=squared)
-        total += coef[:, j, None] * power
-    # cancellation can leave tiny negative dust near the support edges
-    out = np.where(inside, np.clip(total / gamma, 0.0, None), 0.0)
-    return np.where(kcol == 1, box, out)
+    t = x[:, None, :] - np.arange(kmax)[:, None]  # x - i: counts x shifts x points
+    m = ((t >= 0.0) & (t < 1.0)).astype(float)
+    for j in range(2, kmax + 1):
+        n = kmax - j + 1
+        m = (t[:, :n] * m[:, :n] + (j - t[:, :n]) * m[:, 1:]) / (j - 1)
+        np.copyto(out, m[:, 0], where=kcol == j)
+    return out
 
 
 # ---------------------------------------------------------------------------

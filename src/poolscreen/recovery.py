@@ -20,7 +20,6 @@ import numpy as np
 from .model import NoiseModel, UniformLoad
 
 _SQRT_PI = math.sqrt(math.pi)
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------

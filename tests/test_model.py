@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from poolscreen.model import (
     NoiseModel,
@@ -119,30 +120,32 @@ def test_sum_density_gives_one_row_per_count():
 
 
 def test_irwin_hall_integrates_to_one():
-    for k in (3, 7, 12):
+    for k in (3, 7, 12, 13, 20, 31):
         x = np.linspace(0.0, k, 20_001)
         total = np.trapezoid(_irwin_hall_pdf(x, np.array([k]))[0], x)
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
 def test_irwin_hall_is_zero_past_its_support():
-    # the alternating sum overflows (1e30) or cancels to noise (13, 40) there
-    ks = np.array([1, 2, 3, 11, 12])
+    # exact zeros on both sides, with no overflow at the extremes
+    ks = np.array([1, 2, 3, 11, 12, 13, 20, 31])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert np.array_equal(_irwin_hall_pdf(np.array([1e30]), np.array([12])), [[0.0]])
-        got = _irwin_hall_pdf(np.array([13.0, 40.0, 1e30]), ks)
-    assert np.array_equal(got, np.zeros((5, 3)))
+        got = _irwin_hall_pdf(np.array([-1e30, -0.5, 31.5, 40.0, 1e30]), ks)
+    assert np.array_equal(got, np.zeros((8, 5)))
 
 
-def test_sum_density_normal_regime_matches_moments():
-    # beyond the exact regime the density is the matched normal
-    law = UniformLoad(1.0, 1000.0)
-    k = 20
-    mean = k * 500.5
-    var = k * 999.0**2 / 12.0
-    [[got]] = law.sum_density(np.array([k]), np.array([mean]))
-    assert got == pytest.approx(1.0 / math.sqrt(2 * math.pi * var), rel=1e-12)
+def test_sum_density_past_k12_matches_scipy_irwin_hall():
+    # unit-width loads on [1, 2], so the sum density is the standard
+    # Irwin-Hall density shifted by k, with no rescaling rounding
+    law = UniformLoad(1.0, 2.0)
+    for k in (13, 20, 31):
+        x = np.linspace(-0.5, k + 0.5, 4_001)
+        y = k + x
+        [got] = law.sum_density(np.array([k]), y)
+        want = stats.irwinhall(k).pdf(y - k)
+        assert np.abs(got - want).max() <= 1e-15, k
 
 
 def test_load_law_validation():

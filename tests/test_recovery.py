@@ -6,6 +6,7 @@ the one-dimensional load fit, and bounded least squares for noiseless
 feasibility.
 """
 
+import functools
 import hashlib
 import itertools
 import math
@@ -203,7 +204,8 @@ def test_sum_logpdf_closed_form_single_load():
 def test_sum_logpdf_matches_quadrature_oracle():
     # quadrature tolerance is loosest where the sum density kinks (small k)
     for k, z, tol in [(1, 30.0, 1e-9), (2, 1700.0, 2e-3), (3, 2900.0, 2e-3),
-                      (5, 2444.5, 2e-3), (14, 7777.0, 5e-2)]:
+                      (5, 2444.5, 2e-3), (14, 7777.0, 2e-3), (20, 9876.0, 2e-3),
+                      (31, 15000.0, 2e-3)]:
         [[got]] = sum_measurement_logpdf(np.array([z]), np.array([k]), LAW, NOISE)
         want = _oracle_count_logpost(z, 31, 0.5, NOISE, [k])[0]
         want -= math.log(math.comb(31, k) * 0.5**31)
@@ -223,6 +225,19 @@ def test_count_estimate_forced_past_two_loads():
     assert int(np.argmax(oracle)) + 1 == 3
 
 
+@pytest.mark.parametrize(
+    "z, p, want",
+    [(5.0, 0.6, 1), (24_000.0, 0.001, 15), (30_000.0, 0.001, 17), (28_000.0, 0.05, 22)],
+)
+def test_count_estimate_matches_oracle_argmax_at_every_count(z, p, want):
+    # a light reading that only a few loads can sum to, against a prior
+    # that favours about 19 positives; and heavy pools whose counts lie
+    # past k = 12, where every count must be scored exactly
+    assert estimate_pool_count(np.array([z]), 31, p, NOISE, LAW).tolist() == [want]
+    oracle = _oracle_count_logpost(z, 31, p, NOISE, range(1, 32))
+    assert int(np.argmax(oracle)) + 1 == want
+
+
 def test_count_posterior_matches_oracle_curve():
     got = _count_log_posterior(777.0, 31, 0.05, NOISE, LAW)[:8]
     want = _oracle_count_logpost(777.0, 31, 0.05, NOISE, range(1, 9))
@@ -240,46 +255,37 @@ def test_count_estimate_rejects_nonpositive_reading():
 GH_NODES = np.polynomial.hermite.hermgauss(64)
 
 
-def _scalar_count_log_posterior(z1, s, p, noise, law):
-    """Reference: the count posterior evaluated one k at a time.
+@functools.lru_cache(maxsize=None)
+def _scalar_log_like(z1, k, noise, law):
+    """Reference log density of reading z1 for count k alone: one B-spline
+    recursion over the k shifted unit boxes (the closed box for k = 1), then
+    one Gauss-Hermite quadrature.  Cached, since it reads neither s nor p."""
 
-    The per-k loop the vectorized posterior replaced: one Irwin-Hall sum
-    (k <= 12, and 0 past its support) or matched normal (k > 12) per count,
-    one Gauss-Hermite quadrature per count.
-    """
-
-    def irwin_hall(x, k):
+    def irwin_hall(x):
         if k == 1:
             return ((x >= 0.0) & (x <= 1.0)).astype(float)
-        # past the support the density is 0, where the sum only cancels to noise
-        inside = x <= k
-        x = np.where(inside, x, 0.0)
-        total = np.zeros_like(x)
-        for j in range(k + 1):
-            total += (-1.0) ** j * math.comb(k, j) * np.clip(x - j, 0.0, None) ** (k - 1)
-        return np.where(inside, np.clip(total / math.gamma(k), 0.0, None), 0.0)
+        shifts = [x - i for i in range(k)]
+        m = [((t >= 0.0) & (t < 1.0)).astype(float) for t in shifts]
+        for j in range(2, k + 1):
+            m = [(shifts[i] * m[i] + (j - shifts[i]) * m[i + 1]) / (j - 1) for i in range(k - j + 1)]
+        return m[0]
 
-    def sum_density(k, y):
-        width = law.hi - law.lo
-        if k <= 12:
-            return irwin_hall((y - k * law.lo) / width, k) / width
-        mean = k * 0.5 * (law.lo + law.hi)
-        var = k * width * width / 12.0
-        return np.exp(-0.5 * (y - mean) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
+    x, w = GH_NODES
+    u = math.sqrt(2.0) * noise.sigma_eps * x
+    width = law.hi - law.lo
+    fy = irwin_hall((z1 * np.exp(-u) - k * law.lo) / width) / width
+    val = float(np.sum(w * fy * np.exp(-u))) / math.sqrt(math.pi)
+    return math.log(val) if val > 0.0 else -math.inf
 
-    def log_like(k):
-        x, w = GH_NODES
-        u = math.sqrt(2.0) * noise.sigma_eps * x
-        fy = sum_density(k, z1 * np.exp(-u))
-        val = float(np.sum(w * fy * np.exp(-u))) / math.sqrt(math.pi)
-        return math.log(val) if val > 0.0 else -math.inf
 
+def _scalar_count_log_posterior(z1, s, p, noise, law):
+    """Reference: the count posterior evaluated one k at a time."""
     ks = np.arange(1, s + 1)
     binom = np.array(
         [math.lgamma(s + 1) - math.lgamma(k + 1) - math.lgamma(s - k + 1) for k in ks]
     )
     log_prior = binom + ks * math.log(p) + (s - ks) * math.log1p(-p)
-    return log_prior + np.array([log_like(int(k)) for k in ks])
+    return log_prior + np.array([_scalar_log_like(z1, int(k), noise, law) for k in ks])
 
 
 def test_count_posterior_equals_per_count_reference():
@@ -336,7 +342,7 @@ def test_count_estimate_does_not_depend_on_its_batch():
 
 def test_count_posterior_is_finite_at_a_wide_noise_scale():
     # at sigma 5 the quadrature reads the sum densities far past their
-    # support, where the Irwin-Hall sum overflows or cancels to noise
+    # support, where they must be exact zeros
     noise = NoiseModel(5.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
