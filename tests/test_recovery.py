@@ -542,7 +542,7 @@ def _bound_and_shift_batch(k, seed, n=12, m=7):
 
     Readings far below lo or above hi drive loads onto the bounds, and
     starts high in the box, far above a small reading, make Newton blocks
-    indefinite.
+    indefinite (see _off_centre_starts).
     """
     rng = np.random.default_rng(seed)
     z = np.exp(rng.uniform(math.log(0.05), math.log(20000.0), size=m))
@@ -552,22 +552,35 @@ def _bound_and_shift_batch(k, seed, n=12, m=7):
     return a, np.log(z)
 
 
+def _off_centre_starts(n, k, S=4):
+    """S starts per candidate, in ln x: start j puts coordinate c in the middle
+    of slice (j + c) mod S of S equal slices of [lo, hi]."""
+    slot = np.add.outer(np.arange(S), np.arange(k)) % S
+    x = LAW.lo + (LAW.hi - LAW.lo) * (slot + 0.5) / S
+    return np.log(np.tile(x, (n, 1)))
+
+
 def _on_bound(X):
     return (X == LAW.lo) | (X == LAW.hi)
 
 
 @pytest.mark.parametrize(
-    "k, seed, digest",
+    "k, seed, newton_digest, optimizer_digest",
     [
-        (2, 0, "f4139fd15b6c9763628ba190c1dc89bfa8b91f64ec4f10edf3429fa2669684d7"),
-        (3, 1, "39abd083eba01634a218328edb273a762d62f75fb74241b6692f72f38efc802e"),
-        (4, 4, "6b94856e427477582d6b58ceb53f0d8b893d795acc2d701eb740a1b7fc321834"),
+        (2, 0, "8de15a20fad3460933837927d4cb63167e054dec7dc31b0416c0377f5b3015ff",
+         "99fde0f3f8d62f6ca636317b171e89e1d3841c99022ef7a3a34903de693a85f2"),
+        (3, 1, "3577894ac5cba6d66558e7a33c9e94c14ccfb3f29f90e41e85b96bee13e90f08",
+         "e3dcc6dc3a09d719853bc27fff7549f9577f9a6a87276951bcf985cf0a05683c"),
+        (4, 4, "241d4c4366f4c5d3d6491033cc31b0a752a341e11a12e7a20cab1529ed24f912",
+         "d8981ce926dc1ba9896e9bd85c5438a90551dc809a59259cdde57711e6f773bf"),
     ],
     ids=["k2", "k3", "k4"],
 )
-def test_optimizer_output_is_pinned(monkeypatch, k, seed, digest):
+def test_optimizer_output_is_pinned(monkeypatch, k, seed, newton_digest, optimizer_digest):
     # the optimizer's arithmetic must not move unless a change means it to;
-    # digests taken with numpy 2.4 on x86-64
+    # digests taken with numpy 2.4 on x86-64.  The Newton runs start off
+    # centre, where they reach the eigenvalue shift and both bounds; the
+    # optimizer runs on the same batch from its own start
     smallest = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -578,12 +591,18 @@ def test_optimizer_output_is_pinned(monkeypatch, k, seed, digest):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     a, v = _bound_and_shift_batch(k, seed)
-    G, X, settled = _optimize_loads(a, v, NOISE.sigma_eps**2, LAW.lo, LAW.hi)
-    # the batch reaches the eigenvalue shift and both bounds
+    sig2, t_lo, t_hi = NOISE.sigma_eps**2, math.log(LAW.lo), math.log(LAW.hi)
+    starts = _off_centre_starts(a.shape[0], k)
+    G, T, settled = recovery._newton_ascent(
+        np.repeat(a, starts.shape[0] // a.shape[0], axis=0), starts, v, sig2, t_lo, t_hi)
     assert min(smallest) < 0.0
+    assert (T == t_lo).any() and (T == t_hi).any()
+    got = hashlib.sha256(G.tobytes() + T.tobytes() + settled.tobytes()).hexdigest()
+    assert got == newton_digest
+    G, X, settled = _optimize_loads(a, v, sig2, LAW.lo, LAW.hi)
     assert (X == LAW.lo).any() and (X == LAW.hi).any()
     got = hashlib.sha256(G.tobytes() + X.tobytes() + settled.tobytes()).hexdigest()
-    assert got == digest
+    assert got == optimizer_digest
 
 
 def test_optimizer_result_depends_on_the_candidate_alone(monkeypatch):
