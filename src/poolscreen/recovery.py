@@ -273,14 +273,16 @@ def _row_counts(M: np.ndarray, subsets: np.ndarray) -> np.ndarray:
 
 
 def _load_objective(A, X, v, sig2):
-    """phi(x) = sum_i u_i - (v_i - u_i)^2 / (2 sig2), u = ln(A x), per row of X.
+    """phi(x) = -sum_i (v_i - u_i)^2 / (2 sig2), u = ln(A x), per row of X.
+
+    Plus the decoder's constant, this is the log density of the readings,
+    ln z = v, given the pooled loads y = A x under the log-normal noise.
 
     Returns phi (P,) and the pooled loads y = A x (P, m).
     """
     y = np.matmul(A, X[:, :, None])[:, :, 0]
-    u = np.log(y)
-    r = v - u
-    return (u - r * r / (2.0 * sig2)).sum(axis=1), y
+    r = v - np.log(y)
+    return -(r * r).sum(axis=1) / (2.0 * sig2), y
 
 
 _TINY = np.finfo(float).tiny
@@ -294,7 +296,7 @@ def _newton_direction(H, g, X, lo, hi, eye):
     box is frozen: its step is zero and it is dropped from the Newton system.
     The free block of H can be indefinite (in t = ln x, where a coordinate's
     gradient is positive, or once a row's residual v - u falls below
-    -(1 + sig2)); it is then shifted by its smallest eigenvalue until
+    -1); it is then shifted by its smallest eigenvalue until
     positive definite.  A free coordinate on a bound that the step would push
     out of the box is frozen too, and the system solved again without it.
 
@@ -351,7 +353,7 @@ def _optimize_loads(A, v, sig2, lo, hi):
     """Projected Newton ascent of the load log-objective from one start.
 
     A: (N, m, k) pooling patterns in which every row pools at least one
-    column, v: (m,) debiased log readings.  Maximizes phi (see
+    column, v: (m,) log readings.  Maximizes phi (see
     _load_objective) over the box [lo, hi]^k, each instance by one run of
     _newton_ascent from the reading-proportional start: each reading split
     evenly over the columns it pools, each column's shares averaged over
@@ -366,7 +368,7 @@ def _optimize_loads(A, v, sig2, lo, hi):
     more than 1e-9 once, by 0.29 nats at phi = -764, far below any list.
 
     With k = 1 every row pools the single column, so phi is concave in
-    u = ln x and peaks at x = exp(mean(v) + sig2) clipped to the box; that
+    u = ln x and peaks at x = exp(mean(v)) clipped to the box; that
     closed form, which is Newton's first step in t, replaces the search.
 
     Each instance's result depends on its own A and v alone: not on the
@@ -379,7 +381,7 @@ def _optimize_loads(A, v, sig2, lo, hi):
     A = np.ascontiguousarray(A)
     N, m, k = A.shape
     if k == 1:
-        X = np.full((N, 1), min(max(math.exp(v.mean() + sig2), lo), hi))
+        X = np.full((N, 1), min(max(math.exp(v.mean()), lo), hi))
         return _load_objective(A, X, v, sig2)[0], X, np.ones(N, dtype=bool)
 
     cnt = A.sum(axis=2)  # (N, m)
@@ -432,9 +434,9 @@ def _newton_ascent(A, T, v, sig2, lo, hi):
     for _ in range(_NEWTON_ITERS):
         Xa = np.exp(Ta)
         r = v - np.log(Ya)
-        q = (1.0 + r / sig2) / Ya  # d phi / d y
+        q = r / (sig2 * Ya)  # d phi / d y
         g = Xa * np.matmul(AaT, q[:, :, None])[:, :, 0]
-        w = (1.0 + (1.0 + r) / sig2) / (Ya * Ya)  # - d2 phi / d y2
+        w = (1.0 + r) / (sig2 * Ya * Ya)  # - d2 phi / d y2
         H = np.matmul(AaT * w[:, None, :], Aa)
         H *= Xa[:, :, None] * Xa[:, None, :]
         H[:, diag, diag] -= g
@@ -575,25 +577,14 @@ def map_list_decode(
     M = reduced.sub_matrix
     v = np.log(reduced.sub_measurements)  # (m*,)
     sig2 = noise.sigma_eps**2
-    # constants of the log objective: the per-row density normalizers
+    # constants of the log likelihood: the per-row log-normal normalizers
     const = float(-v.sum() - reduced.m_star * math.log(noise.sigma_eps * math.sqrt(2.0 * math.pi)))
-    # The bound on log f maximizes each row's term u - (v-u)^2/(2 sig^2)
-    # independently: it is concave in u = ln(pooled load) and peaks at
-    # v + sig^2, and u lies in [ln(c*lo), ln(c*hi)] for a row that pools c
-    # of the candidate's columns.  The clamped peaks sum to an upper bound.
-    peak = v + sig2
+    # The bound on log f maximizes each row's term -(v - u)^2 / (2 sig^2)
+    # independently: it peaks at u = v, and u = ln(pooled load) lies in
+    # [ln(c*lo), ln(c*hi)] for a row that pools c of the candidate's
+    # columns.  The clamped peaks sum to an upper bound.
     log_lo, log_hi = math.log(law.lo), math.log(law.hi)
     log_alpha = math.log(cfg.alpha)
-    # A row's term peaks at u = v + sig^2 with the value v + sig^2 / 2, and
-    # const holds -sum(v), so no candidate's bound exceeds ceiling + prior:
-    # a size window is skipped when its prior alone rules it out.  The
-    # candidates' bounds round their m* terms, their sums and the added
-    # constants, by a few ulps of |peak| + sig^2 per row, |const| and |prior|
-    # each, and the ceiling by a few of its own; the test gets that much
-    # slack.
-    ceiling = reduced.m_star * (0.5 * sig2 - math.log(noise.sigma_eps * math.sqrt(2.0 * math.pi)))
-    ulps = 4.0 * (reduced.m_star + 2) * np.finfo(float).eps
-    scale = float(np.abs(peak).sum()) + reduced.m_star * sig2 + abs(const) + abs(ceiling)
 
     scored = 0
     exceeded = False
@@ -603,7 +594,10 @@ def map_list_decode(
     kept: list[tuple[np.ndarray, np.ndarray]] = []
     for sizes in itertools.product(*windows):
         prior = _prior_part(sum(sizes), reduced.s_star, p, law)
-        if ceiling + prior + ulps * (scale + abs(prior)) < log_alpha + best_logf:
+        # every row's term is at most 0, so no candidate's bound exceeds
+        # const + prior; the bound adds prior and then const to a sum of
+        # terms <= 0 and rounding is monotone, so that holds as computed too
+        if const + prior < log_alpha + best_logf:
             continue  # no candidate of this window can reach the list
         for chunk in _block_chunks(blocks, sizes):
             cnt = _row_counts(M, chunk)
@@ -615,8 +609,8 @@ def map_list_decode(
                 exceeded = True
             scored += subsets.shape[0]
             log_cnt = np.log(np.maximum(cnt, 1.0))
-            u = np.clip(peak, log_cnt + log_lo, log_cnt + log_hi)
-            bound = (u - (v - u) ** 2 / (2.0 * sig2)).sum(axis=1) + prior + const
+            u = np.clip(v, log_cnt + log_lo, log_cnt + log_hi)
+            bound = -((v - u) ** 2).sum(axis=1) / (2.0 * sig2) + prior + const
             keep = bound >= log_alpha + best_logf
             if np.any(keep):
                 subsets = subsets[keep]

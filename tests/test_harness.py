@@ -561,7 +561,7 @@ def test_cli_decode_skips_sizes_the_bound_rules_out(tmp_path, capsys):
     assert payload["scored_subsets"] == 294
     assert payload["estimate"] == [1, 3, 20]
     assert payload["best_subset"] == [1, 3, 20]
-    assert payload["best_log_score"] == pytest.approx(-19.66214525819922, abs=1e-9)
+    assert payload["best_log_score"] == pytest.approx(-58.65215791054496, abs=1e-9)
 
 
 def test_cli_decode_reports_a_budget_hit(tmp_path, capsys):

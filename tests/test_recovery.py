@@ -37,8 +37,6 @@ from poolscreen.recovery import (
 
 LAW = UniformLoad()
 NOISE = NoiseModel()
-# the noise factor's density, from scipy rather than the package
-EPS = stats.lognorm(s=NOISE.sigma_eps)
 
 
 def _instance(matrix, x, noise, rng, stage1=True):
@@ -373,12 +371,35 @@ def test_score_single_column_matches_grid_search():
     cfg = DecoderConfig(alpha=1.0, k_window=0)
     res = map_list_decode(_single_row_reduced(z), (1,), 1, cfg, p, NOISE, LAW)
     grid = np.arange(1.0, 1000.0 + 0.0005, 0.001)
-    vals = EPS.logpdf(z / grid)
+    # the reading's log-normal density given the load, from scipy
+    vals = stats.lognorm.logpdf(z, s=NOISE.sigma_eps, scale=grid)
     best = int(np.argmax(vals))
     log_prior = math.log(p) - math.log(999.0)
     assert res.best.subset == (0,)
     assert res.best.log_score == pytest.approx(vals[best] + log_prior, abs=1e-5)
     assert res.best.converged
+
+
+@pytest.mark.parametrize("z", [30.0, 420.0])
+def test_score_likelihood_integrates_to_the_count_density(z):
+    # the decoder and the count path score one model: for one column read
+    # once, the score's likelihood part as a function of the load, integrated
+    # over the uniform load law, is the count path's k = 1 density
+    p, sig2 = 0.01, NOISE.sigma_eps**2
+    cfg = DecoderConfig(alpha=1.0, k_window=0)
+    res = map_list_decode(_single_row_reduced(z), (1,), 1, cfg, p, NOISE, LAW)
+    v = np.array([math.log(z)])
+    at_z = recovery._load_objective(np.ones((1, 1, 1)), np.array([[z]]), v, sig2)[0][0]
+    # the best load reads z exactly, so the score less the prior and the
+    # objective there is the decoder's constant
+    const = res.best.log_score - recovery._prior_part(1, 1, p, LAW) - at_z
+
+    def like(x):
+        return math.exp(recovery._load_objective(np.ones((1, 1, 1)), np.array([[x]]), v, sig2)[0][0] + const)
+
+    val = integrate.quad(like, LAW.lo, LAW.hi, points=[z], limit=400)[0] / (LAW.hi - LAW.lo)
+    [[want]] = sum_measurement_logpdf(np.array([z]), np.array([1]), LAW, NOISE)
+    assert math.log(val) == pytest.approx(want, abs=1e-9)
 
 
 def test_score_zero_when_row_uncovered():
@@ -395,11 +416,16 @@ def test_score_zero_when_row_uncovered():
 # load optimizer
 
 
-def _phi_on_grid(a, v, sig2, axes):
-    """The load objective at every point of the grid spanned by axes (one per column)."""
+def _phi_on_grid(a, v, sigma, axes):
+    """The load objective at every point of the grid spanned by axes (one per column).
+
+    That is the readings' log-normal log likelihood, from scipy, less its
+    value where every row's pooled load equals its reading.
+    """
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, a.shape[1])
-    u = np.log(mesh @ a.T)
-    return (u - (v - u) ** 2 / (2.0 * sig2)).sum(axis=1), mesh
+    z = np.exp(v)
+    fit = stats.lognorm.logpdf(z, s=sigma, scale=z)
+    return (stats.lognorm.logpdf(z, s=sigma, scale=mesh @ a.T) - fit).sum(axis=1), mesh
 
 
 def log_posterior_gradient(red, subset, loads, noise):
@@ -412,7 +438,7 @@ def log_posterior_gradient(red, subset, loads, noise):
     y = a @ loads
     v = np.log(red.sub_measurements)
     u = np.log(y)
-    return a.T @ ((1.0 + (v - u) / noise.sigma_eps**2) / y)
+    return a.T @ ((v - u) / (noise.sigma_eps**2 * y))
 
 
 def _kkt_residual(red, subset, loads):
@@ -480,7 +506,7 @@ def test_single_column_closed_form_matches_grid(z):
     )
     G, X, conv, a, v = _optimize_subset(red, (0,))
     grid = np.linspace(LAW.lo, LAW.hi, 999_001)  # spacing 0.001
-    vals, mesh = _phi_on_grid(a, v, NOISE.sigma_eps**2, [grid])
+    vals, mesh = _phi_on_grid(a, v, NOISE.sigma_eps, [grid])
     best = int(np.argmax(vals))
     assert conv
     assert G >= vals[best] - 1e-12
@@ -504,7 +530,7 @@ def test_two_column_optimum_reaches_grid_and_kkt(seed):
     red, subset = _shipped_instance(6, 2, seed)
     G, X, conv, a, v = _optimize_subset(red, subset)
     axis = np.linspace(LAW.lo, LAW.hi, 1999)
-    vals, _ = _phi_on_grid(a, v, NOISE.sigma_eps**2, [axis, axis])
+    vals, _ = _phi_on_grid(a, v, NOISE.sigma_eps, [axis, axis])
     assert conv
     assert G >= vals.max() - 1e-9
     assert _kkt_residual(red, subset, X) <= 1e-6
@@ -515,8 +541,7 @@ def test_three_column_optimum_reaches_grid_and_kkt(seed):
     red, subset = _shipped_instance(7, 3, 10 + seed)
     G, X, conv, a, v = _optimize_subset(red, subset)
     axis = np.linspace(LAW.lo, LAW.hi, 150)
-    sig2 = NOISE.sigma_eps**2
-    grid_max = max(_phi_on_grid(a, v, sig2, [[x0], axis, axis])[0].max() for x0 in axis)
+    grid_max = max(_phi_on_grid(a, v, NOISE.sigma_eps, [[x0], axis, axis])[0].max() for x0 in axis)
     assert conv
     assert G >= grid_max - 1e-9
     assert _kkt_residual(red, subset, X) <= 1e-6
@@ -567,12 +592,12 @@ def _on_bound(X):
 @pytest.mark.parametrize(
     "k, seed, newton_digest, optimizer_digest",
     [
-        (2, 0, "8de15a20fad3460933837927d4cb63167e054dec7dc31b0416c0377f5b3015ff",
-         "99fde0f3f8d62f6ca636317b171e89e1d3841c99022ef7a3a34903de693a85f2"),
-        (3, 1, "3577894ac5cba6d66558e7a33c9e94c14ccfb3f29f90e41e85b96bee13e90f08",
-         "e3dcc6dc3a09d719853bc27fff7549f9577f9a6a87276951bcf985cf0a05683c"),
-        (4, 4, "241d4c4366f4c5d3d6491033cc31b0a752a341e11a12e7a20cab1529ed24f912",
-         "d8981ce926dc1ba9896e9bd85c5438a90551dc809a59259cdde57711e6f773bf"),
+        (2, 0, "98f1e6db37349e73b5e9834b3c60672b0c75f428e98b72920509b2e06ac74512",
+         "2221938da34dc8c4dcc46487cbc941de02569db2c0a91413284b15b1dfafdc62"),
+        (3, 1, "51631c50760720487a2e855648fdff822ce44b4206523bf3d4133e78d3714062",
+         "4a39acaaf0d66c6894d01648bb139dad2b70480b0608b0a13cfebe664df87eff"),
+        (4, 4, "f8d6041ca249e70464f1a0815be07bbcd9681b03cfb749e4b3fca5037862e074",
+         "4c72c8f8c5107947957152bb35c79f09726b8fc7e643ab7ba79a6b2d3fe06eec"),
     ],
     ids=["k2", "k3", "k4"],
 )
@@ -1013,7 +1038,7 @@ def test_decode_refuses_a_survivor_past_the_last_block():
 
 def test_gradient_vanishes_at_unconstrained_optimum():
     red = _single_row_reduced(5.0)
-    x_star = 5.0 * math.exp(NOISE.sigma_eps**2)
+    x_star = 5.0
     g = log_posterior_gradient(red, (0,), np.array([x_star]), NOISE)
     assert abs(g[0]) < 1e-8
 
@@ -1038,8 +1063,7 @@ def test_gradient_matches_finite_differences():
         )
 
         def objective(v):
-            y = a @ v
-            return float(np.sum(EPS.logpdf(z / y)))
+            return float(np.sum(stats.lognorm.logpdf(z, s=NOISE.sigma_eps, scale=a @ v)))
 
         g = log_posterior_gradient(red, np.arange(k), loads, NOISE)
         for j in range(k):
@@ -1062,11 +1086,11 @@ def test_gradient_quadratic_part_scales_with_sigma():
         sub_matrix=a,
         sub_measurements=z,
     )
-    y = a @ loads
-    linear = a.T @ (1.0 / y)
+    # the log likelihood's only dependence on the loads is its quadratic
+    # part, so the whole gradient scales with 1 / sigma^2
     g1 = log_posterior_gradient(red, np.arange(3), loads, NoiseModel(sigma_eps=0.05))
     g2 = log_posterior_gradient(red, np.arange(3), loads, NoiseModel(sigma_eps=0.10))
-    assert np.allclose(g2 - linear, (g1 - linear) / 4.0, rtol=1e-10)
+    assert np.allclose(g2, g1 / 4.0, rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
