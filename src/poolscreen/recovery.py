@@ -164,8 +164,8 @@ def estimate_pool_count(
     alone.  Ties resolve toward the smaller count.
     """
     z = np.asarray(z, dtype=np.float64)
-    if np.any(z <= 0):
-        raise ValueError("pool readings must be positive")
+    if not np.all((z > 0) & (z < math.inf)):  # NaN fails both
+        raise ValueError("pool readings must be positive and finite")
     if s < 1:
         raise ValueError("s must be >= 1")
     if not 0.0 < p < 1.0:

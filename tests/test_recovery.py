@@ -168,9 +168,10 @@ def _oracle_count_logpost(z1, s, p, noise, ks):
             y = z1 / e
             return ih.pdf((y - k) / 999.0) / 999.0 * eps.pdf(e) / e
 
-        # integrate only where both factors can be nonzero
-        lo = max(z1 / (1000.0 * k), math.exp(-12 * noise.sigma_eps))
-        hi = min(z1 / k, math.exp(12 * noise.sigma_eps))
+        # integrate only where both factors can be nonzero, the noise over
+        # e^(+-16 sigma), past the quadrature's outermost node at 14.9 sigma
+        lo = max(z1 / (1000.0 * k), math.exp(-16 * noise.sigma_eps))
+        hi = min(z1 / k, math.exp(16 * noise.sigma_eps))
         val = integrate.quad(integrand, lo, hi, limit=400)[0] if lo < hi else 0.0
         prior = math.comb(s, k) * p**k * (1 - p) ** (s - k)
         out.append(math.log(prior * val) if prior * val > 0 else -math.inf)
@@ -243,11 +244,25 @@ def test_count_posterior_matches_oracle_curve():
     assert np.allclose(got[finite], want[finite], rtol=1e-5, atol=1e-6)
 
 
+def test_count_oracle_covers_the_quadrature_range():
+    # counts 11 to 13 reach a reading of 5 only with the noise factor between
+    # e^(-12 sigma) and e^(-14.9 sigma), the package quadrature's outermost node
+    assert np.sqrt(2.0) * np.polynomial.hermite.hermgauss(64)[0].max() < 16.0
+    oracle = _oracle_count_logpost(5.0, 31, 0.6, NOISE, range(11, 14))
+    assert np.all(np.isfinite(oracle))
+
+
 def test_count_estimate_rejects_nonpositive_reading():
     with pytest.raises(ValueError):
         estimate_pool_count(np.array([30.0, 0.0]), 31, 0.01, NOISE, LAW)
     with pytest.raises(ValueError):
         estimate_pool_count(np.array([-3.0]), 31, 0.01, NOISE, LAW)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_count_estimate_rejects_a_reading_that_is_not_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        estimate_pool_count(np.array([30.0, bad]), 31, 0.01, NOISE, LAW)
 
 
 GH_NODES = np.polynomial.hermite.hermgauss(64)
@@ -474,8 +489,20 @@ def test_score_concentrates_on_true_support_noiseless():
     assert G[top] > np.delete(G, top).max()
 
 
+def _best_of_random_starts(a, v, rng, n=64):
+    """Per candidate of a, the best optimum of n starts drawn uniformly from the box."""
+    starts = rng.uniform(LAW.lo, LAW.hi, size=(a.shape[0] * n, a.shape[2]))
+    G, _, _ = recovery._newton_ascent(
+        np.repeat(a, n, axis=0), np.log(starts), v, NOISE.sigma_eps**2,
+        math.log(LAW.lo), math.log(LAW.hi),
+    )
+    return G.reshape(a.shape[0], n).max(axis=1)
+
+
 def test_score_multistart_runs_agree():
-    # the fixed starts find the optimum that many random starts find
+    # the one start reaches the best optimum that many random starts find:
+    # on three noisy positives of a shipped 7x31 design, on every covering
+    # pair of one mixed pool, and on batches that push loads onto the bounds
     rng = np.random.default_rng(11)
     mat = builtin_matrix(7, 31).entries
     x = np.zeros(31)
@@ -484,14 +511,26 @@ def test_score_multistart_runs_agree():
     red = comp(_instance(mat, x, NOISE, rng))
     loc = {int(c): i for i, c in enumerate(red.survivors)}
     G, _, conv, a, v = _optimize_subset(red, tuple(loc[c] for c in sup))
-    starts = rng.uniform(LAW.lo, LAW.hi, size=(64, 3))
-    G_random, _, _ = recovery._newton_ascent(
-        np.repeat(a[None], 64, axis=0), np.log(starts), v, NOISE.sigma_eps**2,
-        math.log(LAW.lo), math.log(LAW.hi),
-    )
+    G_random = _best_of_random_starts(a[None], v, rng)[0]
     assert conv
-    assert G >= G_random.max() - 1e-9
-    assert G == pytest.approx(G_random.max(), abs=1e-6)
+    assert G >= G_random - 1e-9
+    assert G == pytest.approx(G_random, abs=1e-6)
+
+    x = np.zeros(62)
+    x[[int(rng.integers(0, 31)), int(rng.integers(31, 62))]] = rng.uniform(1.0, 1000.0, size=2)
+    red = comp(_instance(_mixed_matrix(), x, NOISE, rng, stage1=False))
+    pairs = [
+        (i, j) for i, j in itertools.combinations(range(red.s_star), 2)
+        if red.survivors[i] < 31 <= red.survivors[j]
+        and red.sub_matrix[:, [i, j]].any(axis=1).all()
+    ]
+    assert len(pairs) > 1
+    batches = [(np.stack([red.sub_matrix[:, list(pair)] for pair in pairs]),
+                np.log(red.sub_measurements))]
+    batches += [_bound_and_shift_batch(k, seed) for k, seed in ((2, 0), (3, 1), (4, 4))]
+    for a, v in batches:
+        G, _, _ = _optimize_loads(a, v, NOISE.sigma_eps**2, LAW.lo, LAW.hi)
+        assert np.all(G >= _best_of_random_starts(a, v, rng) - 1e-9), a.shape
 
 
 @pytest.mark.parametrize("z", [[40.0, 55.0, 47.0, 61.0], [1500.0, 1400.0, 1700.0], [0.3, 0.5]])
