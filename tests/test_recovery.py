@@ -403,16 +403,16 @@ def test_score_likelihood_integrates_to_the_count_density(z):
     p, sig2 = 0.01, NOISE.sigma_eps**2
     cfg = DecoderConfig(alpha=1.0, k_window=0)
     res = map_list_decode(_single_row_reduced(z), (1,), 1, cfg, p, NOISE, LAW)
-    v = np.array([math.log(z)])
-    at_z = recovery._load_objective(np.ones((1, 1, 1)), np.array([[z]]), v, sig2)[0][0]
-    # the best load reads z exactly, so the score less the prior and the
-    # objective there is the decoder's constant
-    const = res.best.log_score - recovery._prior_part(1, 1, p, LAW) - at_z
+    one, v = np.ones((1, 1, 1)), np.array([math.log(z)])
 
-    def like(x):
-        return math.exp(recovery._load_objective(np.ones((1, 1, 1)), np.array([[x]]), v, sig2)[0][0] + const)
+    def phi(x):
+        return float(recovery._load_objective(one, np.array([[x]]), v, sig2)[0][0])
 
-    val = integrate.quad(like, LAW.lo, LAW.hi, points=[z], limit=400)[0] / (LAW.hi - LAW.lo)
+    # the best load reads z exactly, so the score less the prior and phi
+    # there is the decoder's constant
+    const = res.best.log_score - recovery._prior_part(1, 1, p, LAW) - phi(z)
+    val = integrate.quad(lambda x: math.exp(phi(x) + const), LAW.lo, LAW.hi, points=[z], limit=400)[0]
+    val /= LAW.hi - LAW.lo
     [[want]] = sum_measurement_logpdf(np.array([z]), np.array([1]), LAW, NOISE)
     assert math.log(val) == pytest.approx(want, abs=1e-9)
 
