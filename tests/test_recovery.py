@@ -616,12 +616,14 @@ def _bound_and_shift_batch(k, seed, n=12, m=7):
     return a, np.log(z)
 
 
-def _off_centre_starts(n, k, S=4):
-    """S starts per candidate, in ln x: start j puts coordinate c in the middle
-    of slice (j + c) mod S of S equal slices of [lo, hi]."""
+def _off_centre_starts(a, S=4):
+    """Each candidate of a repeated S times, and its S starts in ln x: start j
+    puts coordinate c in the middle of slice (j + c) mod S of S equal slices
+    of [lo, hi]."""
+    n, _, k = a.shape
     slot = np.add.outer(np.arange(S), np.arange(k)) % S
     x = LAW.lo + (LAW.hi - LAW.lo) * (slot + 0.5) / S
-    return np.log(np.tile(x, (n, 1)))
+    return np.repeat(a, S, axis=0), np.log(np.tile(x, (n, 1)))
 
 
 def _on_bound(X):
@@ -656,9 +658,7 @@ def test_optimizer_output_is_pinned(monkeypatch, k, seed, newton_digest, optimiz
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     a, v = _bound_and_shift_batch(k, seed)
     sig2, t_lo, t_hi = NOISE.sigma_eps**2, math.log(LAW.lo), math.log(LAW.hi)
-    starts = _off_centre_starts(a.shape[0], k)
-    G, T, settled = recovery._newton_ascent(
-        np.repeat(a, starts.shape[0] // a.shape[0], axis=0), starts, v, sig2, t_lo, t_hi)
+    G, T, settled = recovery._newton_ascent(*_off_centre_starts(a), v, sig2, t_lo, t_hi)
     assert min(smallest) < 0.0
     assert (T == t_lo).any() and (T == t_hi).any()
     got = hashlib.sha256(G.tobytes() + T.tobytes() + settled.tobytes()).hexdigest()
