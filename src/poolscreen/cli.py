@@ -146,7 +146,8 @@ def _cmd_simulate(args) -> int:
         alpha = "-" if rep.alpha is None else format(rep.alpha, "g")
         print(
             f"{rep.scheme} k={rep.k} alpha={alpha}: "
-            f"m_ave={rep.m_ave:.2f} sens={rep.sensitivity:.4f} spec={rep.specificity:.4f}"
+            f"m_ave={rep.m_ave:.2f} sens={rep.sensitivity:.4f} spec={rep.specificity:.4f} "
+            f"budget={rep.budget_flags}"
         )
     print(f"wrote {Path(args.out) / 'results.csv'}")
     return EXIT_OK
@@ -221,7 +222,7 @@ def _cmd_decode(args) -> int:
         instance = PoolInstance(mat.entries.astype(np.float64), readings)
         if not 0.0 < args.prevalence < 1.0:
             raise ValueError("prevalence must lie in (0, 1)")
-        cfg = DecoderConfig(alpha=args.alpha, k_window=mat.n, enumeration_cap=args.cap)
+        cfg = DecoderConfig(alpha=args.alpha, enumeration_cap=args.cap)
     except ValueError as err:
         raise _CliError(str(err), EXIT_CONFIG) from err
     reduced = comp(instance)
@@ -243,9 +244,8 @@ def _cmd_decode(args) -> int:
         "budget_exceeded": False,
     }
     if reduced.m_star >= 1:
-        # window k_hat +- n covers every support size the survivors allow
         try:
-            decode = map_list_decode(reduced, (1,), mat.n, cfg, args.prevalence, noise, law)
+            decode = map_list_decode(reduced, cfg, args.prevalence, noise, law)
         except BudgetExceeded as err:
             decode = err.result
         result["budget_exceeded"] = decode.budget_exceeded

@@ -52,7 +52,6 @@ class ExperimentConfig:
     load_lo: float = _LAW.lo
     load_hi: float = _LAW.hi
     kappa: int = 2
-    k_window: int = _DECODER.k_window
     enumeration_cap: int = _DECODER.enumeration_cap
     pin_builtin_matrices: bool = False
 
@@ -60,7 +59,7 @@ class ExperimentConfig:
         object.__setattr__(self, "k_values", tuple(self.k_values))
         object.__setattr__(self, "schemes", tuple(self.schemes))
         alphas = tuple(self.alpha_values)
-        names = ("n", "q", "s", "trials", "master_seed", "kappa", "k_window", "enumeration_cap")
+        names = ("n", "q", "s", "trials", "master_seed", "kappa", "enumeration_cap")
         ints = [(name, getattr(self, name)) for name in names]
         ints += [(f"k_values[{i}]", k) for i, k in enumerate(self.k_values)]
         reals = [(name, getattr(self, name)) for name in ("sigma_eps", "load_lo", "load_hi")]
@@ -133,7 +132,6 @@ class ExperimentConfig:
     def scheme_config(self, scheme: str, alpha: float | None) -> SchemeConfig:
         decoder = DecoderConfig(
             alpha=_DECODER.alpha if alpha is None else alpha,
-            k_window=self.k_window,
             enumeration_cap=self.enumeration_cap,
         )
         return SchemeConfig(

@@ -2,10 +2,10 @@
 
 The pipeline for one positive pool: COMP screening drops every column that
 appears in a zero reading (zeros are exact under multiplicative noise), a
-posterior over the number of positives picks a window of candidate support
-sizes, and a list decoder scores every candidate support in the window by
-the best explanation its loads can give the readings.  Two pools mixed into
-one read decode the same way, with one size window per pool.
+posterior over the number of positives estimates the pool's count, which
+sizes its stage 2, and a list decoder scores candidate supports of every
+size by the best explanation their loads can give the readings.  Two pools
+mixed into one read decode the same way, as one instance.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class PoolInstance:
             raise ValueError("matrix must be 0/1")
         if meas.shape != (matrix.shape[0],):
             raise ValueError("one measurement per matrix row required")
-        if np.any(meas < 0):
-            raise ValueError("measurements must be non-negative")
+        if not np.all((meas >= 0) & (meas < math.inf)):  # NaN fails both
+            raise ValueError("measurements must be non-negative and finite")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "measurements", meas)
 
@@ -211,14 +211,11 @@ _ARMIJO = 1e-4  # sufficient-increase fraction of the backtracking
 @dataclass
 class DecoderConfig:
     alpha: float = 0.9
-    k_window: int = 1
     enumeration_cap: int = 200_000
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if self.k_window < 0:
-            raise ValueError("k_window must be non-negative")
         if self.enumeration_cap < 1:
             raise ValueError("enumeration_cap must be positive")
 
@@ -489,88 +486,41 @@ def _newton_ascent(A, T, v, sig2, lo, hi):
 _CHUNK = 4096
 
 
-def _block_chunks(blocks, sizes):
-    """Yield candidate supports taking sizes[i] columns of blocks[i], as row arrays.
-
-    The supports run through the product of each block's combinations in
-    lexicographic order, the first block varying slowest.  Every later block
-    is listed in full; the first is read lazily, max(1, _CHUNK // R) of its
-    combinations per yield, R being the number of rows the later blocks give.
-    """
-    rest = None
-    for block, k in zip(blocks[1:], sizes[1:]):
-        combos = np.array(list(itertools.combinations(block.tolist(), k)), dtype=np.intp)
-        combos = combos.reshape(combos.shape[0] if k else 1, k)
-        rest = combos if rest is None else _cross(rest, combos)
-    it = itertools.combinations(blocks[0].tolist(), sizes[0])
-    step = max(1, _CHUNK // (1 if rest is None else rest.shape[0]))
-    while True:
-        head = list(itertools.islice(it, step))
-        if not head:
-            return
-        head = np.array(head, dtype=np.intp).reshape(len(head), sizes[0])
-        yield head if rest is None else _cross(head, rest)
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Every row of a joined with every row of b, a varying slowest."""
-    return np.concatenate([np.repeat(a, b.shape[0], axis=0), np.tile(b, (a.shape[0], 1))], axis=1)
-
-
 def map_list_decode(
     reduced: ReducedInstance,
-    k_hats,
-    width: int,
     cfg: DecoderConfig,
     p: float,
     noise: NoiseModel,
     law: UniformLoad,
 ) -> DecodeResult:
-    """Score candidate supports around the count estimates; return the union
-    of every candidate scoring within a factor alpha of the best.
+    """Score candidate supports of every size; return the union of every
+    candidate scoring within a factor alpha of the best.
 
-    The decoded instance reads len(k_hats) pools side by side, width columns
-    each: survivor j belongs to block survivors[j] // width, and a survivor
-    past the last block raises ValueError.  Each block contributes a size
-    window around its own count estimate (k_hats[i] +- cfg.k_window, within
-    [1, block size]); an estimate above the block size reads as the block
-    size, since more positives than survivors means all of them.  A block
-    with no survivors contributes size 0, and with no survivors at all the
-    result is empty.  Candidates are every choice of one size per block, and
-    of that many columns from each.  A candidate's score depends on that
-    candidate and the readings alone (see _optimize_loads), so the result
-    does not depend on how the candidates are batched for the load search.
+    The sizes run from 1 to the survivor count in ascending order, and each
+    size's candidates are the combinations of that many survivors, listed in
+    lexicographic order, _CHUNK at a time.  With no survivors the result is
+    empty.  A candidate's score is its support's prior plus the readings'
+    log likelihood at its best loads, and depends on that candidate and the
+    readings alone (see _optimize_loads), so the result does not depend on
+    how the candidates are batched for the load search.  A mixed pair of
+    pools decodes like one pool: the prior depends on the total size alone.
 
     A candidate must pool every positive reading.  A covered candidate whose
     per-row bound misses log alpha + the running best is not worth a load
-    search, since it can neither join the list nor lead it.  Before a choice
-    of sizes is listed, the same test is made on the best that any candidate
-    of that choice could score: its prior plus every row at its own peak
-    density.  A choice whose prior alone rules it out is skipped without
-    listing it.  The covered candidates of the choices listed count against
-    cfg.enumeration_cap, and the skipped ones do not; once a covered
-    candidate is left unscored, the decode stops and raises BudgetExceeded
-    with what it has.
+    search, since it can neither join the list nor lead it.  Before a size
+    is listed, the same test is made on the best that any candidate of that
+    size could score: its prior plus every row at its own peak density.  A
+    size whose prior alone rules it out is skipped without listing it.  The
+    prior falls with the size unless p / (1 - p) exceeds the load box's
+    width, and then no size is skipped.  The covered candidates of the sizes
+    listed count against cfg.enumeration_cap, and the skipped ones do not;
+    once a covered candidate is left unscored, the decode stops and raises
+    BudgetExceeded with what it has.
     """
     if reduced.m_star < 1:
         raise ValueError("decoding needs at least one positive reading")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    if np.any(reduced.survivors >= len(k_hats) * width):
-        last = int(reduced.survivors.max())
-        raise ValueError(f"survivor {last} lies past the {len(k_hats)} x {width} block columns")
-    block_of = reduced.survivors // width
-    blocks = [np.flatnonzero(block_of == i) for i in range(len(k_hats))]
-    windows = []
-    for k_hat, block in zip(k_hats, blocks):
-        size = block.shape[0]
-        if size == 0:
-            windows.append([0])
-            continue
-        if k_hat < 1:
-            raise ValueError(f"k_hat must be >= 1, got {k_hat}")
-        k_hat = min(k_hat, size)
-        windows.append(range(max(k_hat - cfg.k_window, 1), min(k_hat + cfg.k_window, size) + 1))
     if reduced.s_star == 0:
         return DecodeResult((), None, 0, False)
 
@@ -592,14 +542,18 @@ def map_list_decode(
     best_subset: tuple[int, ...] | None = None
     best_converged = True
     kept: list[tuple[np.ndarray, np.ndarray]] = []
-    for sizes in itertools.product(*windows):
-        prior = _prior_part(sum(sizes), reduced.s_star, p, law)
+    for size in range(1, reduced.s_star + 1):
+        prior = _prior_part(size, reduced.s_star, p, law)
         # every row's term is at most 0, so no candidate's bound exceeds
         # const + prior; the bound adds prior and then const to a sum of
         # terms <= 0 and rounding is monotone, so that holds as computed too
         if const + prior < log_alpha + best_logf:
-            continue  # no candidate of this window can reach the list
-        for chunk in _block_chunks(blocks, sizes):
+            continue  # no candidate of this size can reach the list
+        combos = itertools.combinations(range(reduced.s_star), size)
+        while not exceeded:
+            chunk = np.array(list(itertools.islice(combos, _CHUNK)), dtype=np.intp)
+            if chunk.shape[0] == 0:
+                break
             cnt = _row_counts(M, chunk)
             covered = (cnt > 0).all(axis=1)
             subsets, cnt = chunk[covered], cnt[covered]
@@ -625,8 +579,6 @@ def map_list_decode(
                 sel = logf >= log_alpha + best_logf
                 if np.any(sel):
                     kept.append((subsets[sel], logf[sel]))
-            if exceeded:
-                break
         if exceeded:
             break
 

@@ -6,7 +6,7 @@ one sample at a time, and the adaptive schemes spend a small coded second
 stage per part: one positive pool (stap1 with a fixed row count, stap2 with
 one sized by the pool's count estimate), or, in stamp, a pair of sparse pools
 mixed into one read.  Every part, one pool or two, is read through one coded
-matrix and decoded as one instance whose column blocks are its pools.
+matrix and decoded as one instance.
 Pipetting counts one operation per 1-entry of each executed sensing row.
 """
 
@@ -236,12 +236,12 @@ def _run_adaptive(
 
     stap1 and stap2 make each positive pool a part; stamp partitions them
     (partition_positive_pools) into heavy solo pools and pairs of sparse
-    ones.  Each part reads its pools' columns together through one
+    ones.  The count estimates choose each part's stage-2 rows and stamp's
+    pairing.  Each part reads its pools' columns together through one
     rows x (|pools| * s) matrix and decodes them, with their stage-1
-    readings, as one instance whose column blocks are the pools.  Each part
-    draws a seed from rng; only the stage-2 sampler builds a generator from
-    it, but pinned designs draw the seed too, so sampled and pinned runs read
-    the same noise.
+    readings, as one instance.  Each part draws a seed from rng; only the
+    stage-2 sampler builds a generator from it, but pinned designs draw the
+    seed too, so sampled and pinned runs read the same noise.
     """
     _check_signal(signal, cfg)
     meter = _Meter(noise, rng)
@@ -280,7 +280,7 @@ def _run_adaptive(
         decode_matrix = np.vstack([np.repeat(np.eye(len(pools)), s, axis=1), mat])
         red = comp(PoolInstance(decode_matrix, np.concatenate([z1[list(pools)], z2])))
         try:
-            res = decode(red, part_k_hats, s, cfg.decoder, p, noise, cfg.load_law)
+            res = decode(red, cfg.decoder, p, noise, cfg.load_law)
         except BudgetExceeded as err:
             res = err.result
         estimate.extend(int(cols[j]) for j in res.estimate)

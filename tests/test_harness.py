@@ -1,5 +1,6 @@
 """Tests for the experiment runner, aggregation, seeding, and the CLI."""
 
+import csv
 import hashlib
 import json
 import math
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from poolscreen import harness
 from poolscreen.cli import main
 from poolscreen.harness import (
     AggregateReport,
@@ -237,7 +239,7 @@ def test_simulate_output_is_pinned_on_a_small_grid(tmp_path):
     # trials with enumeration-cap hits, in about a second
     cfg = _mini_config(
         k_values=(2, 5, 20), trials=4, master_seed=11, schemes=("stap1", "stap2", "stamp"),
-        kappa=2, pin_builtin_matrices=True, k_window=2, enumeration_cap=60,
+        kappa=2, pin_builtin_matrices=True, enumeration_cap=60,
     )
     run_experiment(cfg, out_dir=tmp_path)
     digests = {
@@ -245,8 +247,8 @@ def test_simulate_output_is_pinned_on_a_small_grid(tmp_path):
         for name in ("results.csv", "trials.jsonl")
     }
     assert digests == {
-        "results.csv": "12a96086edfbac387261c9e20648c2e99e00e4fea413ca42f62c0783ac97445c",
-        "trials.jsonl": "1102a6ca732834feaf62dd7ed0af2aad1b0c555e87791eae1e5b8edf00e2e245",
+        "results.csv": "6a62e4724eec24ec234b209820a5acae8ae89c95f87f2d8198d880f67d87dc6a",
+        "trials.jsonl": "0a5a23067d7f1f0f97b7fbdf649d8e0c8afe9b7913a3306f4e44655d8587604b",
     }
 
 
@@ -256,7 +258,7 @@ def test_simulate_output_is_pinned_on_a_small_sampled_grid(tmp_path):
     # and 5 trials with enumeration-cap hits, in about half a second
     cfg = _mini_config(
         k_values=(2, 5, 20), trials=3, master_seed=13, schemes=("stap1", "stap2", "stamp"),
-        kappa=2, pin_builtin_matrices=False, k_window=1, enumeration_cap=200,
+        kappa=2, pin_builtin_matrices=False, enumeration_cap=200,
     )
     run_experiment(cfg, out_dir=tmp_path)
     digests = {
@@ -264,9 +266,21 @@ def test_simulate_output_is_pinned_on_a_small_sampled_grid(tmp_path):
         for name in ("results.csv", "trials.jsonl")
     }
     assert digests == {
-        "results.csv": "3b4846052986d905dbad05cb785b79b022a24f88b3beb6cee3386eb6ee171f1c",
-        "trials.jsonl": "002945103272489251edb47a865ef2eaeea98dcdd2885733e4bd497edb186697",
+        "results.csv": "413d6f022d831d493406f1bb7adc7772dd766a98f376610ec238b61611b875d9",
+        "trials.jsonl": "08adc6922e7ff8237d77ee6acd48b943c9ee37b5a7d317941bc7246758fc6d6c",
     }
+
+
+def test_decoder_reaches_a_pool_count_above_its_estimate():
+    # stap2, k = 5, sampled designs, master seed 1, trial 175: pool 0 holds
+    # three positives (columns 4, 5 and 9), but its count estimate is 1 and
+    # no reading screens out any of its 31 columns.  The decoder scores size
+    # 3 all the same and finds 4 of the 5 positives, with 1 false one
+    cfg = _mini_config(n=961, k_values=(5,), trials=1, master_seed=1, schemes=("stap2",))
+    rec = harness._run_trial((cfg, "stap2", 5, 0.9, 175))
+    assert rec["support"] == [4, 5, 9, 175, 667]
+    assert (rec["tp"], rec["fp"]) == (4, 1)
+    assert rec["estimate"] == [0, 4, 5, 175, 667]
 
 
 def test_trial_records_are_self_consistent():
@@ -281,7 +295,6 @@ def test_trial_records_are_self_consistent():
 
 
 def test_trial_record_counts_nonconverged_parts(monkeypatch):
-    from poolscreen import harness
     from poolscreen.schemes import PartDiagnostic
 
     def capped(signal, cfg, noise, rng):
@@ -320,12 +333,19 @@ def _write_config(tmp_path, **overrides):
 
 
 def test_cli_simulate_round_trip(tmp_path, capsys):
-    path = _write_config(tmp_path, schemes=("individual",), trials=2, k_values=(4,))
+    # a cap of one candidate makes one of the decoded cell's trials hit it
+    path = _write_config(
+        tmp_path, schemes=("individual", "stap2"), trials=2, k_values=(8,), enumeration_cap=1
+    )
     code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")])
     out = capsys.readouterr().out
     assert code == 0
-    assert "individual k=4" in out
-    assert (tmp_path / "run" / "results.csv").exists()
+    with open(tmp_path / "run" / "results.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["budget_flags"] for row in rows] == ["0", "1"]
+    assert "individual k=8 alpha=-: " in out and "stap2 k=8 alpha=0.9: " in out
+    for line, row in zip(out.splitlines(), rows):
+        assert line.endswith(f" budget={row['budget_flags']}")
 
 
 def test_cli_simulate_seed_override(tmp_path):
@@ -349,7 +369,7 @@ _GOOD = _mini_config().to_dict()
     "raw",
     [
         {"n": 961, "bogus": 1},
-        {**_GOOD, "k_window": -1},
+        {**_GOOD, "k_window": 1},  # the key is gone: the decoder lists every size
         {**_GOOD, "enumeration_cap": 0},
         {**_GOOD, "kappa": 0},
         {**_GOOD, "kappa": 3},

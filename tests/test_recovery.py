@@ -123,6 +123,13 @@ def test_pool_instance_validation():
         PoolInstance(np.eye(2), np.array([1.0, -0.5]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_pool_instance_rejects_a_reading_that_is_not_finite(bad):
+    # a NaN would pass a sign test and decode to nothing
+    with pytest.raises(ValueError, match="finite"):
+        PoolInstance(np.eye(2), np.array([1.0, bad]))
+
+
 # ---------------------------------------------------------------------------
 # prevalence
 
@@ -383,8 +390,8 @@ def _single_row_reduced(z):
 
 def test_score_single_column_matches_grid_search():
     z, p = 5.0, 0.01
-    cfg = DecoderConfig(alpha=1.0, k_window=0)
-    res = map_list_decode(_single_row_reduced(z), (1,), 1, cfg, p, NOISE, LAW)
+    cfg = DecoderConfig(alpha=1.0)
+    res = map_list_decode(_single_row_reduced(z), cfg, p, NOISE, LAW)
     grid = np.arange(1.0, 1000.0 + 0.0005, 0.001)
     # the reading's log-normal density given the load, from scipy
     vals = stats.lognorm.logpdf(z, s=NOISE.sigma_eps, scale=grid)
@@ -401,8 +408,8 @@ def test_score_likelihood_integrates_to_the_count_density(z):
     # once, the score's likelihood part as a function of the load, integrated
     # over the uniform load law, is the count path's k = 1 density
     p, sig2 = 0.01, NOISE.sigma_eps**2
-    cfg = DecoderConfig(alpha=1.0, k_window=0)
-    res = map_list_decode(_single_row_reduced(z), (1,), 1, cfg, p, NOISE, LAW)
+    cfg = DecoderConfig(alpha=1.0)
+    res = map_list_decode(_single_row_reduced(z), cfg, p, NOISE, LAW)
     one, v = np.ones((1, 1, 1)), np.array([math.log(z)])
 
     def phi(x):
@@ -418,11 +425,12 @@ def test_score_likelihood_integrates_to_the_count_density(z):
 
 
 def test_score_zero_when_row_uncovered():
-    # neither column alone pools both positive readings, so no size-1
-    # candidate is scored and nothing explains the readings
-    a = np.array([[1.0, 0.0], [0.0, 1.0]])
-    red = comp(PoolInstance(a, np.array([4.0, 7.0])))
-    res = map_list_decode(red, (1,), 2, DecoderConfig(k_window=0), 0.1, NOISE, LAW)
+    # the zero reading clears columns 0 and 2, so the first reading pools no
+    # survivor: no candidate is scored and nothing explains the readings
+    a = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    red = comp(PoolInstance(a, np.array([4.0, 0.0, 7.0])))
+    assert red.survivors.tolist() == [1] and red.m_star == 2
+    res = map_list_decode(red, DecoderConfig(), 0.1, NOISE, LAW)
     assert res.scored_count == 0
     assert res.best is None and res.estimate == ()
 
@@ -735,7 +743,7 @@ def test_decode_alpha_one_returns_unique_argmax():
     x = np.zeros(31)
     x[[4, 17]] = [300.0, 88.0]
     red = comp(_exact_instance(mat, x))
-    res = map_list_decode(red, (2,), 31, DecoderConfig(alpha=1.0), 0.05, QUIET, LAW)
+    res = map_list_decode(red, DecoderConfig(alpha=1.0), 0.05, QUIET, LAW)
     assert res.estimate == (4, 17)
     assert res.best.subset == (4, 17)
 
@@ -777,7 +785,7 @@ def test_decode_exact_on_noiseless_distinguishable_instances():
             and min(others, default=1.0) > 3e-3
             and min(singles, default=1.0) > 3e-3
         )
-        res = map_list_decode(red, (2,), 31, cfg, 0.05, QUIET, LAW)
+        res = map_list_decode(red, cfg, 0.05, QUIET, LAW)
         if distinguishable:
             assert res.estimate == tuple(int(c) for c in sup)
             hits += 1
@@ -788,10 +796,10 @@ def test_decode_alpha_near_zero_unions_every_candidate():
     a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
     z = np.array([40.0, 70.0])
     red = comp(PoolInstance(a, z))
-    res = map_list_decode(red, (1,), 3, DecoderConfig(alpha=1e-12), 0.3, NOISE, LAW)
-    # oracle: every subset of sizes 1..2 whose columns cover both rows
+    res = map_list_decode(red, DecoderConfig(alpha=1e-12), 0.3, NOISE, LAW)
+    # oracle: every subset of sizes 1..3 whose columns cover both rows
     covering = []
-    for size in (1, 2):
+    for size in (1, 2, 3):
         from itertools import combinations
 
         for t in combinations(range(3), size):
@@ -812,7 +820,7 @@ def test_decode_alpha_monotone_in_list_size():
         red = comp(_instance(mat, x, NOISE, rng))
         prev = None
         for alpha in (1.0, 0.95, 0.8, 0.5):
-            res = map_list_decode(red, (3,), 31, DecoderConfig(alpha=alpha), 0.05, NOISE, LAW)
+            res = map_list_decode(red, DecoderConfig(alpha=alpha), 0.05, NOISE, LAW)
             if prev is not None:
                 assert set(prev) <= set(res.estimate)
             prev = res.estimate
@@ -826,23 +834,26 @@ def test_decode_budget_overflow_carries_partial_result():
     red = comp(_instance(mat, x, NOISE, rng))
     cfg = DecoderConfig(alpha=0.9, enumeration_cap=10)
     with pytest.raises(BudgetExceeded) as err:
-        map_list_decode(red, (4,), 31, cfg, 0.05, NOISE, LAW)
+        map_list_decode(red, cfg, 0.05, NOISE, LAW)
     partial = err.value.result
     assert partial.budget_exceeded
     assert partial.scored_count == 10
 
 
 def test_decode_meeting_the_cap_exactly_is_no_budget_hit():
-    # only pairs with column 0 pool the first reading: 91 covered pairs, all
-    # in the first of the two enumeration chunks; the second holds none
+    # only column 0 pools the first reading and every other column the
+    # second: no single column is covered, and the 91 covered pairs all lie
+    # in the first of the two enumeration chunks of size 2; the second holds
+    # none.  Each of them fits both readings exactly, so the prior rules out
+    # every larger size and nothing more is listed
     mat = np.zeros((2, 92))
     mat[0, 0] = 1.0
-    mat[1, :] = 1.0
+    mat[1, 1:] = 1.0
     red = comp(PoolInstance(mat, np.array([50.0, 400.0])))
 
     def decode(cap):
-        cfg = DecoderConfig(alpha=0.9, k_window=0, enumeration_cap=cap)
-        return map_list_decode(red, (2,), 92, cfg, 0.05, NOISE, LAW)
+        cfg = DecoderConfig(alpha=0.9, enumeration_cap=cap)
+        return map_list_decode(red, cfg, 0.05, NOISE, LAW)
 
     roomy = decode(92)
     exact = decode(91)
@@ -858,7 +869,7 @@ def test_decoding_needs_prevalence_strictly_inside_0_1(p):
     with pytest.raises(ValueError, match="p must lie"):
         estimate_pool_count(np.array([50.0]), 31, p, NOISE, LAW)
     with pytest.raises(ValueError, match="p must lie"):
-        map_list_decode(_single_row_reduced(5.0), (1,), 1, DecoderConfig(), p, NOISE, LAW)
+        map_list_decode(_single_row_reduced(5.0), DecoderConfig(), p, NOISE, LAW)
 
 
 def test_decode_is_deterministic():
@@ -868,50 +879,44 @@ def test_decode_is_deterministic():
     x[rng.choice(31, size=3, replace=False)] = rng.uniform(1.0, 1000.0, size=3)
     red = comp(_instance(mat, x, NOISE, rng))
     cfg = DecoderConfig(alpha=0.9)
-    a = map_list_decode(red, (3,), 31, cfg, 0.05, NOISE, LAW)
-    b = map_list_decode(red, (3,), 31, cfg, 0.05, NOISE, LAW)
+    a = map_list_decode(red, cfg, 0.05, NOISE, LAW)
+    b = map_list_decode(red, cfg, 0.05, NOISE, LAW)
     assert a == b
 
 
 def test_decode_does_not_depend_on_the_chunk_size(monkeypatch):
     # the chunk size decides which candidates share a load search and which
     # the running best prunes; neither may move a result, to the last bit
-    cfg = DecoderConfig(k_window=1)
+    cfg = DecoderConfig()
     for seed in range(30):
         red, _ = _shipped_instance(8, 3, seed)
         results = []
         for chunk in (1, 7, 4096):
             monkeypatch.setattr(recovery, "_CHUNK", chunk)
-            results.append(map_list_decode(red, (3,), 31, cfg, 0.01, NOISE, LAW))
+            results.append(map_list_decode(red, cfg, 0.01, NOISE, LAW))
         want = results[-1]
         for got in results[:-1]:
             assert got == want, seed
             assert got.best.log_score.hex() == want.best.log_score.hex(), seed
 
 
-def _brute_force_list(red, k_hats, width, cfg, p):
-    """Score every covered candidate of every size window; return the alpha-list.
+def _brute_force_list(red, cfg, p, law=LAW):
+    """Score every covered candidate of every size; return the alpha-list.
 
     Gives the estimate, the first best candidate (as survivor columns) with
-    its score, and the number of covered candidates in each window.
+    its score, and the number of covered candidates of each size.
     """
     v = np.log(red.sub_measurements)
     const = float(-v.sum() - red.m_star * math.log(NOISE.sigma_eps * math.sqrt(2.0 * math.pi)))
-    blocks = [np.flatnonzero(red.survivors // width == i) for i in range(len(k_hats))]
-    windows = []
-    for k, block in zip(k_hats, blocks):
-        k = min(k, block.size)
-        windows.append(range(max(k - cfg.k_window, 1), min(k + cfg.k_window, block.size) + 1))
     subsets, scores, covered = [], [], {}
-    for sizes in itertools.product(*windows):
-        parts = [itertools.combinations(b.tolist(), n) for b, n in zip(blocks, sizes)]
-        subs = [sum(combo, ()) for combo in itertools.product(*parts)]
+    for size in range(1, red.s_star + 1):
+        subs = itertools.combinations(range(red.s_star), size)
         subs = [sub for sub in subs if red.sub_matrix[:, list(sub)].any(axis=1).all()]
-        covered[sizes] = len(subs)
+        covered[size] = len(subs)
         if subs:
             a = np.stack([red.sub_matrix[:, list(sub)] for sub in subs])
-            phi, _, _ = _optimize_loads(a, v, NOISE.sigma_eps**2, LAW.lo, LAW.hi)
-            prior = recovery._prior_part(sum(sizes), red.s_star, p, LAW)
+            phi, _, _ = _optimize_loads(a, v, NOISE.sigma_eps**2, law.lo, law.hi)
+            prior = recovery._prior_part(size, red.s_star, p, law)
             subsets += subs
             scores += list(phi + prior + const)
     top = int(np.argmax(scores))
@@ -923,83 +928,52 @@ def _brute_force_list(red, k_hats, width, cfg, p):
 
 
 def test_decode_equals_the_brute_force_list_and_skips_windows(monkeypatch):
-    # the per-row bound and the window skip may only save work: the list, the
-    # best and its score are those of scoring every covered candidate, and
-    # only the candidates of windows the decoder lists count as scored
+    # the per-row bound and the size skip may only save work: the list, the
+    # best and its score are those of scoring every covered candidate of
+    # every size, and only the candidates of sizes the decoder lists count
+    # as scored
     listed = []
-    chunks = recovery._block_chunks
+    row_counts = recovery._row_counts
 
-    def spy(blocks, sizes):
-        listed.append(tuple(sizes))
-        return chunks(blocks, sizes)
+    def spy(M, subsets):
+        listed.append(subsets.shape[1])
+        return row_counts(M, subsets)
 
-    monkeypatch.setattr(recovery, "_block_chunks", spy)
-    cfg = DecoderConfig(alpha=0.5, k_window=1)
-    instances = [(_shipped_instance(rows, k, seed)[0], (k,), 31)
-                 for rows, k, seeds in ((7, 2, range(4)), (8, 3, range(1, 4))) for seed in seeds]
+    monkeypatch.setattr(recovery, "_row_counts", spy)
+    cfg = DecoderConfig(alpha=0.5)
+    # instances of at most 12 survivors, which the brute force lists in full
+    instances = [(_shipped_instance(rows, k, seed)[0], 0.05, LAW)
+                 for rows, k, seeds in ((7, 2, (0, 1, 3, 4)), (8, 3, (5, 6, 7))) for seed in seeds]
     for seed in range(4):
         # one positive per pool, as in most stamp pairs
         rng = np.random.default_rng(300 + seed)
         x = np.zeros(62)
         x[[rng.integers(0, 31), rng.integers(31, 62)]] = rng.uniform(1.0, 1000.0, size=2)
         red = comp(_instance(_mixed_matrix(), x, NOISE, rng, stage1=False))
-        instances.append((red, (1, 1), 31))
+        instances.append((red, 0.05, LAW))
+    # a prior that grows with the size, p / (1 - p) above the box's width:
+    # no size may be skipped, the largest included
+    narrow = UniformLoad(lo=1.0, hi=1.5)
+    rng = np.random.default_rng(1)
+    x = np.zeros(31)
+    sup = rng.choice(31, size=3, replace=False)
+    x[sup] = rng.uniform(1.0, 1.5, size=3)
+    red = comp(_instance(builtin_matrix(7, 31).entries, x, NOISE, rng))
+    instances.append((red, 0.6, narrow))
     skipped = 0
-    for red, k_hats, width in instances:
+    for red, p, law in instances:
         listed.clear()
-        res = map_list_decode(red, k_hats, width, cfg, 0.05, NOISE, LAW)
-        estimate, best, score, covered = _brute_force_list(red, k_hats, width, cfg, 0.05)
+        res = map_list_decode(red, cfg, p, NOISE, law)
+        estimate, best, score, covered = _brute_force_list(red, cfg, p, law)
         assert res.estimate == estimate
         assert res.best.subset == best
         assert res.best.log_score == score
-        assert set(listed) <= set(covered)
-        assert res.scored_count == sum(covered[sizes] for sizes in listed)
-        skipped += len(covered) - len(listed)
+        sizes = set(listed)
+        assert res.scored_count == sum(covered[size] for size in sizes)
+        if law is narrow:
+            assert sizes == set(covered)
+        skipped += len(covered) - len(sizes)
     assert skipped > 0
-
-
-def test_decode_validates_k_hat_and_empty_reduction():
-    red = _single_row_reduced(5.0)
-    cfg = DecoderConfig()
-    with pytest.raises(ValueError):
-        map_list_decode(red, (0,), 1, cfg, 0.1, NOISE, LAW)
-
-
-def test_decode_window_clips_at_survivor_count():
-    # two survivors, k_hat = 2: window is {1, 2} and never requests size 3
-    a = np.array([[1.0, 1.0], [1.0, 0.0]])
-    red = comp(PoolInstance(a, np.array([30.0, 10.0])))
-    res = map_list_decode(red, (2,), 2, DecoderConfig(alpha=0.5), 0.3, NOISE, LAW)
-    assert res.scored_count == 2  # {0} and {0,1}; {1} leaves row 1 uncovered
-
-
-def test_decode_reads_k_hat_above_survivors_as_all_of_them():
-    # more positives than survivors means all of them: an estimate above a
-    # block's survivor count decodes exactly like one equal to it
-    rng = np.random.default_rng(4)
-    x = np.zeros(31)
-    x[rng.choice(31, size=3, replace=False)] = rng.uniform(1.0, 1000.0, size=3)
-    red = comp(_instance(builtin_matrix(5, 31).entries, x, NOISE, rng))
-    cfg = DecoderConfig()
-
-    def single(k):
-        return map_list_decode(red, (k,), 31, cfg, 0.05, NOISE, LAW)
-
-    assert single(red.s_star + 4) == single(red.s_star)
-    assert single(red.s_star).best is not None
-
-    x = np.zeros(62)
-    x[[2, 11, 40]] = [300.0, 45.0, 820.0]
-    red = comp(_instance(_mixed_matrix(), x, NOISE, rng, stage1=False))
-    left = int((red.survivors < 31).sum())
-    right = red.s_star - left
-
-    def mixed(ka, kb):
-        return map_list_decode(red, (ka, kb), 31, cfg, 0.05, NOISE, LAW)
-
-    assert mixed(left + 3, right + 1) == mixed(left, right)
-    assert mixed(left, right + 2) == mixed(left, right)
-    assert mixed(left, right).best is not None
 
 
 # ---------------------------------------------------------------------------
@@ -1025,50 +999,11 @@ def test_mixed_decode_recovers_one_per_half_noiseless():
         right = int(rng.integers(31, 62))
         x[[left, right]] = rng.uniform(1.0, 1000.0, size=2)
         red = comp(PoolInstance(_mixed_matrix(), _mixed_matrix() @ x))
-        res = map_list_decode(red, (1, 1), 31, cfg, 0.03, QUIET, LAW)
+        res = map_list_decode(red, cfg, 0.03, QUIET, LAW)
         assert set(res.estimate) >= {left, right}
         if res.estimate == (left, right):
             exact += 1
     assert exact >= 4
-
-
-def test_mixed_decode_empty_half_matches_single_decode():
-    x = np.zeros(62)
-    x[[3, 14]] = [250.0, 910.0]  # both in the left half
-    a = _mixed_matrix()
-    red = comp(PoolInstance(a, a @ x))
-    assert np.all(red.survivors < 31)  # right half emptied by its own row
-    cfg = DecoderConfig(alpha=0.8)
-    mixed = map_list_decode(red, (2, 1), 31, cfg, 0.03, QUIET, LAW)
-    single = map_list_decode(red, (2,), 62, cfg, 0.03, QUIET, LAW)
-    assert mixed.estimate == single.estimate
-
-
-def test_mixed_decode_validates_half_counts():
-    rng = np.random.default_rng(8)
-    x = np.zeros(62)
-    x[[1, 40]] = [100.0, 100.0]
-    a = _mixed_matrix()
-    y = a @ x
-    z = np.where(y > 0, y * np.exp(rng.normal(0.0, NOISE.sigma_eps, size=y.shape)), 0.0)
-    red = comp(PoolInstance(a, z))
-    with pytest.raises(ValueError):
-        map_list_decode(red, (0, 1), 31, DecoderConfig(), 0.03, NOISE, LAW)
-
-
-def test_decode_refuses_a_survivor_past_the_last_block():
-    # column 40 survives; one block of width 31, or two of width 20, stop short of it
-    x = np.zeros(62)
-    x[[1, 40]] = [100.0, 100.0]
-    a = _mixed_matrix()
-    red = comp(PoolInstance(a, a @ x))
-    assert 40 in red.survivors
-    for k_hats, width in (((1,), 31), ((1, 1), 20)):
-        with pytest.raises(ValueError, match="lies past"):
-            map_list_decode(red, k_hats, width, DecoderConfig(), 0.03, QUIET, LAW)
-    # the same survivors read as two blocks of width 31 decode
-    res = map_list_decode(red, (1, 1), 31, DecoderConfig(), 0.03, QUIET, LAW)
-    assert {1, 40} <= set(res.estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -1143,5 +1078,3 @@ def test_decoder_config_validation():
         DecoderConfig(alpha=1.5)
     with pytest.raises(ValueError):
         DecoderConfig(enumeration_cap=0)
-    with pytest.raises(ValueError):
-        DecoderConfig(k_window=-1)

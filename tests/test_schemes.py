@@ -409,9 +409,9 @@ def test_parts_decode_through_the_name_for_their_kind(monkeypatch):
     calls = []
 
     def spy(kind):
-        def decode(red, k_hats, *args):
-            calls.append((kind, k_hats))
-            return recovery.map_list_decode(red, k_hats, *args)
+        def decode(*args):
+            calls.append(kind)
+            return recovery.map_list_decode(*args)
         return decode
 
     monkeypatch.setattr(schemes, "map_list_decode", spy("single"))
@@ -420,7 +420,7 @@ def test_parts_decode_through_the_name_for_their_kind(monkeypatch):
     values = np.zeros(961)
     values[40] = 700.0
     run_scheme(Signal(values), _cfg("stamp"), NOISE, np.random.default_rng(4))
-    assert calls == [("mixed", (2, 1)), ("single", (1,))]
+    assert calls == ["mixed", "single"]
 
 
 def test_run_scheme_dispatch():
