@@ -234,26 +234,20 @@ def _cmd_decode(args) -> int:
             "column it pools is cleared by a zero reading",
             EXIT_CONFIG,
         )
+    try:
+        decode = map_list_decode(reduced, cfg, args.prevalence, noise, law)
+    except BudgetExceeded as err:
+        decode = err.result
+    best = decode.best
     result = {
         "survivors": [int(j) for j in reduced.survivors],
         "active_rows": [int(i) for i in reduced.active_rows],
-        "estimate": [],
-        "best_subset": None,
-        "best_log_score": None,
-        "scored_subsets": 0,
-        "budget_exceeded": False,
+        "estimate": list(decode.estimate),
+        "best_subset": None if best is None else list(best.subset),
+        "best_log_score": None if best is None else best.log_score,
+        "scored_subsets": decode.scored_count,
+        "budget_exceeded": decode.budget_exceeded,
     }
-    if reduced.m_star >= 1:
-        try:
-            decode = map_list_decode(reduced, cfg, args.prevalence, noise, law)
-        except BudgetExceeded as err:
-            decode = err.result
-        result["budget_exceeded"] = decode.budget_exceeded
-        result["estimate"] = [int(j) for j in decode.estimate]
-        if decode.best is not None:
-            result["best_subset"] = [int(j) for j in decode.best.subset]
-            result["best_log_score"] = decode.best.log_score
-        result["scored_subsets"] = decode.scored_count
     print(json.dumps(result, sort_keys=True))
     return EXIT_OK
 

@@ -58,8 +58,9 @@ class ReducedInstance:
     sub_measurements: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.sub_measurements <= 0):
-            raise ValueError("reduced instances keep only strictly positive readings")
+        z = self.sub_measurements
+        if not np.all((z > 0) & (z < math.inf)):  # NaN fails both
+            raise ValueError("reduced instances keep only positive, finite readings")
 
     @property
     def m_star(self) -> int:
@@ -382,7 +383,7 @@ def _optimize_loads(A, v, sig2, lo, hi):
         return _load_objective(A, X, v, sig2)[0], X, np.ones(N, dtype=bool)
 
     cnt = A.sum(axis=2)  # (N, m)
-    shares = np.exp(v)[None, :] / np.maximum(cnt, 1.0)
+    shares = np.exp(v)[None, :] / cnt
     colw = A.sum(axis=1)  # (N, k)
     x0 = np.einsum("nmk,nm->nk", A, shares) / np.maximum(colw, 1.0)
     x0[colw == 0] = 0.5 * (lo + hi)
@@ -496,14 +497,20 @@ def map_list_decode(
     """Score candidate supports of every size; return the union of every
     candidate scoring within a factor alpha of the best.
 
+    Zeros are exact, so when no reading is positive, or some positive
+    reading pools no survivor, nothing can explain the readings: the result
+    is empty and nothing is scored.  Otherwise some candidate is scored, and
+    the result is empty only if every score overflows to -inf (at a noise
+    scale near the smallest NoiseModel accepts).
+
     The sizes run from 1 to the survivor count in ascending order, and each
     size's candidates are the combinations of that many survivors, listed in
-    lexicographic order, _CHUNK at a time.  With no survivors the result is
-    empty.  A candidate's score is its support's prior plus the readings'
-    log likelihood at its best loads, and depends on that candidate and the
-    readings alone (see _optimize_loads), so the result does not depend on
-    how the candidates are batched for the load search.  A mixed pair of
-    pools decodes like one pool: the prior depends on the total size alone.
+    lexicographic order, _CHUNK at a time.  A candidate's score is its
+    support's prior plus the readings' log likelihood at its best loads, and
+    depends on that candidate and the readings alone (see _optimize_loads),
+    so the result does not depend on how the candidates are batched for the
+    load search.  A mixed pair of pools decodes like one pool: the prior
+    depends on the total size alone.
 
     A candidate must pool every positive reading.  A covered candidate whose
     per-row bound misses log alpha + the running best is not worth a load
@@ -517,14 +524,12 @@ def map_list_decode(
     once a covered candidate is left unscored, the decode stops and raises
     BudgetExceeded with what it has.
     """
-    if reduced.m_star < 1:
-        raise ValueError("decoding needs at least one positive reading")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    if reduced.s_star == 0:
+    M = reduced.sub_matrix
+    if reduced.m_star == 0 or not M.any(axis=1).all():
         return DecodeResult((), None, 0, False)
 
-    M = reduced.sub_matrix
     v = np.log(reduced.sub_measurements)  # (m*,)
     sig2 = noise.sigma_eps**2
     # constants of the log likelihood: the per-row log-normal normalizers
@@ -562,7 +567,7 @@ def map_list_decode(
                 subsets, cnt = subsets[:room], cnt[:room]
                 exceeded = True
             scored += subsets.shape[0]
-            log_cnt = np.log(np.maximum(cnt, 1.0))
+            log_cnt = np.log(cnt)
             u = np.clip(v, log_cnt + log_lo, log_cnt + log_hi)
             bound = -((v - u) ** 2).sum(axis=1) / (2.0 * sig2) + prior + const
             keep = bound >= log_alpha + best_logf
@@ -583,7 +588,7 @@ def map_list_decode(
             break
 
     if best_subset is None:
-        # nothing admissible explains the readings
+        # every score overflowed to -inf
         result = DecodeResult((), None, scored, exceeded)
     else:
         threshold = log_alpha + best_logf

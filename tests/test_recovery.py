@@ -130,6 +130,19 @@ def test_pool_instance_rejects_a_reading_that_is_not_finite(bad):
         PoolInstance(np.eye(2), np.array([1.0, bad]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_reduced_instance_rejects_a_reading_that_is_not_finite(bad):
+    # a hand-built instance skips PoolInstance's check; a NaN would decode
+    # to nothing
+    with pytest.raises(ValueError, match="finite"):
+        ReducedInstance(
+            survivors=np.arange(2),
+            active_rows=np.arange(2),
+            sub_matrix=np.array([[1.0, 0.0], [1.0, 1.0]]),
+            sub_measurements=np.array([bad, 5.0]),
+        )
+
+
 # ---------------------------------------------------------------------------
 # prevalence
 
@@ -424,7 +437,7 @@ def test_score_likelihood_integrates_to_the_count_density(z):
     assert math.log(val) == pytest.approx(want, abs=1e-9)
 
 
-def test_score_zero_when_row_uncovered():
+def test_score_zero_when_row_uncovered(monkeypatch):
     # the zero reading clears columns 0 and 2, so the first reading pools no
     # survivor: no candidate is scored and nothing explains the readings
     a = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -433,6 +446,48 @@ def test_score_zero_when_row_uncovered():
     res = map_list_decode(red, DecoderConfig(), 0.1, NOISE, LAW)
     assert res.scored_count == 0
     assert res.best is None and res.estimate == ()
+
+    # with 20 survivors, the decode returns before listing any of their
+    # 2^20 subsets
+    calls = []
+    row_counts = recovery._row_counts
+    monkeypatch.setattr(
+        recovery, "_row_counts", lambda *args: calls.append(1) or row_counts(*args)
+    )
+    a = np.zeros((3, 21))
+    a[0, 20] = a[1, 20] = 1.0  # the first reading pools only column 20, which the zero clears
+    a[2, :20] = 1.0
+    red = comp(PoolInstance(a, np.array([300.0, 0.0, 2000.0])))
+    assert red.s_star == 20 and red.m_star == 2
+    res = map_list_decode(red, DecoderConfig(), 0.1, NOISE, LAW)
+    assert calls == []
+    assert res.scored_count == 0
+    assert res.best is None and res.estimate == ()
+
+    # with no positive reading, nothing is left to explain
+    a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    red = comp(PoolInstance(a, np.zeros(2)))
+    assert red.survivors.tolist() == [2] and red.m_star == 0
+    res = map_list_decode(red, DecoderConfig(), 0.1, NOISE, LAW)
+    assert res == recovery.DecodeResult((), None, 0, False)
+    assert calls == []
+
+
+def test_decode_returns_nothing_when_every_score_overflows():
+    # at a noise scale near the smallest NoiseModel accepts, a reading far
+    # above the load box's top misfits by more than a float can hold: every
+    # candidate scores -inf, and none leads the list
+    tiny = NoiseModel(sigma_eps=1.5e-154)
+    for a in (np.ones((1, 1)), np.eye(2)):
+        red = ReducedInstance(
+            survivors=np.arange(a.shape[1]),
+            active_rows=np.arange(a.shape[0]),
+            sub_matrix=a,
+            sub_measurements=np.full(a.shape[0], 1e6),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = map_list_decode(red, DecoderConfig(), 0.1, tiny, LAW)
+        assert res == recovery.DecodeResult((), None, 1, False)
 
 
 # ---------------------------------------------------------------------------
