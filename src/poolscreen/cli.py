@@ -20,7 +20,6 @@ import numpy as np
 from .harness import ExperimentConfig, run_experiment
 from .matrices import (
     BUILTIN_PROFILES,
-    KirkmanParams,
     MatrixConstructionError,
     MatrixParseError,
     SensingMatrix,
@@ -28,7 +27,6 @@ from .matrices import (
     load_matrix,
     profile_sample,
     save_matrix,
-    verify_kirkman,
     verify_profile,
 )
 from .model import NoiseModel, UniformLoad
@@ -66,11 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True)
 
-    ver = matrix_sub.add_parser("verify", help="check a matrix file against a contract")
+    ver = matrix_sub.add_parser("verify", help="check a matrix file against a weight profile")
     ver.add_argument("path", help="matrix file to check")
-    group = ver.add_mutually_exclusive_group(required=True)
-    group.add_argument("--kirkman", metavar="M,C", help="rows,parallel-classes")
-    group.add_argument("--profile", help="builtin name like 6x31, or a JSON file")
+    ver.add_argument("--profile", required=True, help="builtin name like 6x31, or a JSON file")
 
     dec = sub.add_parser("decode", help="decode one pooled instance")
     dec.add_argument("--matrix", required=True)
@@ -172,15 +168,7 @@ def _cmd_matrix_gen(args) -> int:
 
 def _cmd_matrix_verify(args) -> int:
     mat = _load_matrix_file(args.path)
-    if args.kirkman:
-        try:
-            m_rows, classes = (int(v) for v in args.kirkman.split(","))
-            params = KirkmanParams(m=m_rows, c=classes)
-        except ValueError as err:
-            raise _CliError(f"bad --kirkman argument: {err}", EXIT_CONFIG) from err
-        ok, report = verify_kirkman(mat, params)
-    else:
-        ok, report = verify_profile(mat, _resolve_profile(args.profile))
+    ok, report = verify_profile(mat, _resolve_profile(args.profile))
     if ok:
         print(f"{args.path}: OK")
         return EXIT_OK

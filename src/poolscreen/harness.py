@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -351,11 +352,14 @@ def run_experiment(
         for scheme, k, alpha in cfg.cells()
         for trial in range(cfg.trials)
     ]
-    if threads > 1:
+    # the pool forks every worker on its first submit, so start no more than
+    # there are jobs or cores; results do not depend on the count
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: a one-worker run does not pay for it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_trial, jobs, chunksize=4))
     else:
         records = [_run_trial(job) for job in jobs]

@@ -1,11 +1,8 @@
-"""Binary sensing matrices: weight-profile ensembles, Kirkman checks, file I/O.
+"""Binary sensing matrices: weight-profile ensembles, profile checks, file I/O.
 
 Stage-2 pooling matrices are sampled from fixed row/column weight profiles.
 Every profile asks for distinct columns (two samples with one row pattern
 cannot be told apart) and distinct rows (a repeated row is a wasted test).
-Kirkman triple systems (resolvable designs whose columns are triples and
-whose classes partition the rows) are only verified here; a design to check
-is read from a matrix file.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ import numpy as np
 __all__ = [
     "SensingMatrix",
     "WeightProfile",
-    "KirkmanParams",
     "MatrixConstructionError",
     "MatrixParseError",
     "BUILTIN_PROFILES",
@@ -30,7 +26,6 @@ __all__ = [
     "builtin_matrix",
     "profile_sample",
     "verify_profile",
-    "verify_kirkman",
     "load_matrix",
     "save_matrix",
 ]
@@ -328,58 +323,6 @@ def verify_profile(mat: SensingMatrix, profile: WeightProfile) -> tuple[bool, st
 
 
 # ---------------------------------------------------------------------------
-# Kirkman triple systems
-
-
-@dataclass(frozen=True)
-class KirkmanParams:
-    """m points, c parallel classes; each class is m/3 disjoint triples."""
-
-    m: int
-    c: int
-
-    def __post_init__(self):
-        if self.m < 3 or self.m % 3:
-            raise ValueError("m must be a positive multiple of 3")
-        if not (1 <= self.c <= (self.m - 1) // 2):
-            raise ValueError(f"c must lie in [1, {(self.m - 1) // 2}] for m={self.m}")
-
-
-def verify_kirkman(mat: SensingMatrix, params: KirkmanParams) -> tuple[bool, str | None]:
-    """Check the three design properties; report the first violation.
-
-    Columns must be triples, any two columns may share at most one row, and
-    each consecutive block of m/3 columns must partition the rows.
-    """
-    per_class = params.m // 3
-    if mat.m != params.m or mat.n != per_class * params.c:
-        return False, (
-            f"matrix is {mat.m}x{mat.n}, expected {params.m}x{per_class * params.c}"
-        )
-    weights = mat.col_weights
-    bad = np.flatnonzero(weights != 3)
-    if bad.size:
-        return False, f"column {int(bad[0])} has weight {int(weights[bad[0]])}, not 3"
-    ent = mat.entries.astype(np.int64)
-    for cls in range(params.c):
-        block = ent[:, cls * per_class : (cls + 1) * per_class]
-        sums = block.sum(axis=1)
-        off = np.flatnonzero(sums != 1)
-        if off.size:
-            return False, (
-                f"class {cls}: row {int(off[0])} covered {int(sums[off[0]])} times, not once"
-            )
-    gram = ent.T @ ent
-    np.fill_diagonal(gram, 0)
-    worst = np.unravel_index(np.argmax(gram), gram.shape)
-    if gram[worst] > 1:
-        return False, (
-            f"columns {int(worst[0])} and {int(worst[1])} share {int(gram[worst])} rows"
-        )
-    return True, None
-
-
-# ---------------------------------------------------------------------------
 # file format
 
 
@@ -410,14 +353,13 @@ def load_matrix(path) -> SensingMatrix:
         # point at the first missing line, or the first extra one
         at = len(lines) + 1 if len(lines) - 1 < m else m + 2
         raise MatrixParseError(at, f"expected {m} rows, found {len(lines) - 1}")
-    entries = np.zeros((m, n), dtype=np.uint8)
-    for i, line in enumerate(lines[1:], start=2):
-        tokens = line.split(" ")
+    # every row is checked before anything is allocated, so a header that
+    # claims more entries than the file holds fails on a line, not in numpy
+    rows = [line.split(" ") for line in lines[1:]]
+    for i, tokens in enumerate(rows, start=2):
         if len(tokens) != n:
             raise MatrixParseError(i, f"expected {n} entries, found {len(tokens)}")
         for j, tok in enumerate(tokens):
-            if tok == "1":
-                entries[i - 2, j] = 1
-            elif tok != "0":
+            if tok not in ("0", "1"):
                 raise MatrixParseError(i, f"entry {j} is {tok!r}, not 0/1")
-    return SensingMatrix(entries)
+    return SensingMatrix(np.array(rows, dtype=np.uint8))

@@ -1,5 +1,6 @@
 """Tests for the experiment runner, aggregation, seeding, and the CLI."""
 
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -220,6 +221,34 @@ def test_run_experiment_thread_count_does_not_change_results(tmp_path):
     assert (tmp_path / "serial" / "trials.jsonl").read_bytes() == (
         tmp_path / "pooled" / "trials.jsonl"
     ).read_bytes()
+
+
+def test_run_experiment_caps_workers_at_jobs_and_cores(monkeypatch):
+    # an in-process stand-in for the pool: a real one would fork every
+    # worker it is asked for on the first submit
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    cfg = _mini_config(schemes=("individual", "dorfman"), trials=2)  # 4 jobs
+    serial = run_experiment(cfg, threads=1)
+    for cores, expected in ((2, 2), (64, 4)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert run_experiment(cfg, threads=10**6) == serial
+        assert started[-1] == expected
+    assert started == [2, 4]
 
 
 @pytest.mark.parametrize("scheme, pinned", [("stap2", False), ("stamp", True)])
@@ -447,6 +476,10 @@ def test_cli_matrix_gen_and_verify(tmp_path, capsys):
     # a profile the matrix does not satisfy
     assert main(["matrix", "verify", str(out), "--profile", "5x31"]) == 2
     assert "FAIL" in capsys.readouterr().out
+    # --kirkman is not an option: argparse exits with 2
+    with pytest.raises(SystemExit) as err:
+        main(["matrix", "verify", str(out), "--kirkman", "9,4"])
+    assert err.value.code == 2
 
 
 def test_cli_matrix_gen_refuses_a_negative_seed(tmp_path, capsys):
@@ -498,29 +531,20 @@ def test_cli_matrix_gen_unknown_profile(tmp_path, capsys):
     assert "no builtin profile" in capsys.readouterr().err
 
 
-def test_cli_matrix_verify_kirkman(tmp_path, kts9):
-    mat = kts9(4)
-    path = tmp_path / "kirkman.txt"
-    save_matrix(mat, path)
-    assert main(["matrix", "verify", str(path), "--kirkman", "9,4"]) == 0
-    assert main(["matrix", "verify", str(path), "--kirkman", "9,3"]) == 2
-
-
-def test_cli_runs_without_scipy(tmp_path, kts9):
+def test_cli_runs_without_scipy(tmp_path):
     # scipy is a test-only dependency: a None entry in sys.modules makes any
     # import of it fail, so the run below fails if the package needs scipy
     config = _write_config(tmp_path, schemes=("stap2",), trials=1, k_values=(3,))
-    design = tmp_path / "kirkman.txt"
-    save_matrix(kts9(4), design)
+    root = Path(__file__).resolve().parents[1]
+    design = root / "src" / "poolscreen" / "data" / "design_9x62.txt"
     script = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
         "from poolscreen.cli import main\n"
         "config, out, design = sys.argv[1:]\n"
         "assert main(['simulate', '--config', config, '--out', out]) == 0\n"
-        "assert main(['matrix', 'verify', design, '--kirkman', '9,4']) == 0\n"
+        "assert main(['matrix', 'verify', design, '--profile', '9x62']) == 0\n"
     )
-    root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(

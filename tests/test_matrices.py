@@ -10,7 +10,6 @@ import pytest
 from poolscreen import matrices
 from poolscreen.matrices import (
     BUILTIN_PROFILES,
-    KirkmanParams,
     MatrixConstructionError,
     MatrixParseError,
     SensingMatrix,
@@ -20,7 +19,6 @@ from poolscreen.matrices import (
     load_matrix,
     profile_sample,
     save_matrix,
-    verify_kirkman,
     verify_profile,
 )
 
@@ -213,57 +211,6 @@ def test_sensing_matrix_rejects_non_binary():
         SensingMatrix(np.array([[0, 2], [1, 0]]))
 
 
-# ------------------------------------------------------------- kirkman
-
-
-def test_kirkman_params_validation():
-    with pytest.raises(ValueError):
-        KirkmanParams(10, 1)
-    with pytest.raises(ValueError):
-        KirkmanParams(9, 5)  # at most (m-1)/2 classes
-    with pytest.raises(ValueError):
-        KirkmanParams(9, 0)
-
-
-def test_verify_kirkman_pair_violation():
-    # both classes partition the rows, but two columns meet in two rows
-    cols = [(0, 1, 2), (3, 4, 5), (0, 1, 3), (2, 4, 5)]
-    entries = np.zeros((6, 4), dtype=np.uint8)
-    for j, tri in enumerate(cols):
-        entries[list(tri), j] = 1
-    ok, report = verify_kirkman(SensingMatrix(entries), KirkmanParams(6, 2))
-    assert not ok and "share" in report
-
-
-def test_verify_kirkman_block_violation():
-    cols = [(0, 1, 2), (2, 3, 4)]  # row 2 twice, row 5 never
-    entries = np.zeros((6, 2), dtype=np.uint8)
-    for j, tri in enumerate(cols):
-        entries[list(tri), j] = 1
-    ok, report = verify_kirkman(SensingMatrix(entries), KirkmanParams(6, 1))
-    assert not ok and "class 0" in report
-
-
-def test_verify_kirkman_shape_mismatch(kts9):
-    mat = kts9(2)
-    ok, report = verify_kirkman(mat, KirkmanParams(9, 3))
-    assert not ok and "expected" in report
-
-
-def test_kirkman_single_bit_flips_always_detected(kts9):
-    params = KirkmanParams(9, 4)
-    mat = kts9(4)
-    assert verify_kirkman(mat, params)[0]
-    rng = np.random.default_rng(6)
-    for _ in range(200):
-        i = int(rng.integers(mat.m))
-        j = int(rng.integers(mat.n))
-        tampered = mat.entries.copy()
-        tampered[i, j] ^= 1
-        ok, _ = verify_kirkman(SensingMatrix(tampered), params)
-        assert not ok
-
-
 # ------------------------------------------------------------- file format
 
 
@@ -292,6 +239,7 @@ def test_save_load_round_trip(tmp_path):
         ("2 2\n1 0\n0  1\n", 3),  # double space between entries
         ("2 2\n10\n0 1\n", 2),  # fused tokens
         ("2 2\n1 0 \n0 1\n", 2),  # trailing space
+        ("1 100000000000000000000\n0 1\n", 2),  # header wider than any row
     ],
 )
 def test_load_matrix_rejects_malformed(tmp_path, content, line):
