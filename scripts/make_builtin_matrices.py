@@ -28,7 +28,7 @@ def main() -> None:
         mat = profile_sample(profile, np.random.default_rng([BUILTIN_BUILD_SEED, i]))
         path = args.out / f"design_{m}x{n}.txt"
         save_matrix(mat, path)
-        print(f"wrote {path} ({mat.total_ones} ones)")
+        print(f"wrote {path} ({int(mat.sum())} ones)")
 
 
 if __name__ == "__main__":

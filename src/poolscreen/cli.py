@@ -22,7 +22,6 @@ from .matrices import (
     BUILTIN_PROFILES,
     MatrixConstructionError,
     MatrixParseError,
-    SensingMatrix,
     WeightProfile,
     load_matrix,
     profile_sample,
@@ -30,7 +29,7 @@ from .matrices import (
     verify_profile,
 )
 from .model import NoiseModel, UniformLoad
-from .recovery import BudgetExceeded, DecoderConfig, PoolInstance, comp, map_list_decode
+from .recovery import BudgetExceeded, DecoderConfig, comp, map_list_decode
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -113,7 +112,7 @@ def _resolve_profile(spec: str) -> WeightProfile:
         raise _CliError(f"bad profile file {spec}: {err}", EXIT_CONFIG) from err
 
 
-def _load_matrix_file(path: str) -> SensingMatrix:
+def _load_matrix_file(path: str) -> np.ndarray:
     try:
         return load_matrix(path)
     except OSError as err:
@@ -162,7 +161,7 @@ def _cmd_matrix_gen(args) -> int:
         save_matrix(mat, args.out)
     except OSError as err:
         raise _CliError(f"cannot write {args.out}: {err}", EXIT_IO) from err
-    print(f"wrote {mat.m}x{mat.n} matrix to {args.out}")
+    print(f"wrote {mat.shape[0]}x{mat.shape[1]} matrix to {args.out}")
     return EXIT_OK
 
 
@@ -203,17 +202,16 @@ def _read_measurements(path: str, expected: int) -> np.ndarray:
 
 def _cmd_decode(args) -> int:
     mat = _load_matrix_file(args.matrix)
-    readings = _read_measurements(args.measurements, mat.m)
+    readings = _read_measurements(args.measurements, mat.shape[0])
     try:
         noise = NoiseModel(sigma_eps=args.sigma_eps)
         law = UniformLoad(lo=args.load_lo, hi=args.load_hi)
-        instance = PoolInstance(mat.entries.astype(np.float64), readings)
+        reduced = comp(mat, readings)
         if not 0.0 < args.prevalence < 1.0:
             raise ValueError("prevalence must lie in (0, 1)")
         cfg = DecoderConfig(alpha=args.alpha, enumeration_cap=args.cap)
     except ValueError as err:
         raise _CliError(str(err), EXIT_CONFIG) from err
-    reduced = comp(instance)
     orphans = reduced.active_rows[~reduced.sub_matrix.any(axis=1)]
     if orphans.size:
         # zeros are exact, so a positive reading must pool some survivor

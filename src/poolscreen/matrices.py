@@ -1,5 +1,6 @@
 """Binary sensing matrices: weight-profile ensembles, profile checks, file I/O.
 
+A design is a read-only 2-D uint8 numpy array of zeros and ones.
 Stage-2 pooling matrices are sampled from fixed row/column weight profiles.
 Every profile asks for distinct columns (two samples with one row pattern
 cannot be told apart) and distinct rows (a repeated row is a wasted test).
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -17,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "SensingMatrix",
     "WeightProfile",
     "MatrixConstructionError",
     "MatrixParseError",
@@ -41,42 +42,6 @@ class MatrixParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-@dataclass(frozen=True, eq=False)
-class SensingMatrix:
-    """An m x n binary matrix with cached row/column weights."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.ascontiguousarray(self.entries, dtype=np.uint8)
-        if entries.ndim != 2:
-            raise ValueError("entries must be a 2-D array")
-        if not np.all((entries == 0) | (entries == 1)):
-            raise ValueError("entries must be 0/1")
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[1]
-
-    @property
-    def row_weights(self) -> np.ndarray:
-        return self.entries.sum(axis=1, dtype=int)
-
-    @property
-    def col_weights(self) -> np.ndarray:
-        return self.entries.sum(axis=0, dtype=int)
-
-    @property
-    def total_ones(self) -> int:
-        return int(self.entries.sum(dtype=int))
 
 
 @dataclass(frozen=True)
@@ -153,7 +118,7 @@ BUILTIN_BUILD_SEED = 1905
 
 
 @lru_cache(maxsize=None)
-def builtin_matrix(stage2_rows: int, pool_width: int) -> SensingMatrix:
+def builtin_matrix(stage2_rows: int, pool_width: int) -> np.ndarray:
     """Load one of the shipped stage-2 designs, checking it against its profile."""
     key = (stage2_rows, pool_width)
     if key not in BUILTIN_PROFILES:
@@ -206,7 +171,7 @@ def _has_duplicate_rows(entries: np.ndarray) -> bool:
 _MAX_ATTEMPTS = 10_000
 
 
-def profile_sample(profile: WeightProfile, rng: np.random.Generator) -> SensingMatrix:
+def profile_sample(profile: WeightProfile, rng: np.random.Generator) -> np.ndarray:
     """Sample a profile.m x profile.n matrix realizing `profile`, uniformly-ish.
 
     Columns are filled one at a time, heaviest first, choosing each column's
@@ -253,11 +218,11 @@ def profile_sample(profile: WeightProfile, rng: np.random.Generator) -> SensingM
         if _has_duplicate_rows(entries):
             last_reason = "duplicate rows"
             continue
-        mat = SensingMatrix(entries)
-        good, report = verify_profile(mat, profile)
+        good, report = verify_profile(entries, profile)
         if not good:  # pragma: no cover - construction enforces the profile
             raise MatrixConstructionError(f"sampler produced an invalid matrix: {report}")
-        return mat
+        entries.flags.writeable = False
+        return entries
     raise MatrixConstructionError(
         f"gave up after {_MAX_ATTEMPTS} attempts (last failure: {last_reason})"
     )
@@ -301,23 +266,20 @@ def _place_column(entries, caps, used, c, w, rest_counts, rng) -> bool:
     return False
 
 
-def verify_profile(mat: SensingMatrix, profile: WeightProfile) -> tuple[bool, str | None]:
+def verify_profile(mat: np.ndarray, profile: WeightProfile) -> tuple[bool, str | None]:
     """Check a matrix against a weight profile; report the first violation."""
-    if mat.m != profile.m or mat.n != profile.n:
-        return False, f"matrix is {mat.m}x{mat.n}, profile wants {profile.m}x{profile.n}"
-    col_counts: dict[int, int] = {}
-    for w in mat.col_weights:
-        col_counts[int(w)] = col_counts.get(int(w), 0) + 1
+    m, n = mat.shape
+    if m != profile.m or n != profile.n:
+        return False, f"matrix is {m}x{n}, profile wants {profile.m}x{profile.n}"
+    col_counts = dict(Counter(mat.sum(axis=0, dtype=int).tolist()))
     if col_counts != profile.col_weights:
         return False, f"column weight multiset {col_counts} != {profile.col_weights}"
-    row_counts: dict[int, int] = {}
-    for w in mat.row_weights:
-        row_counts[int(w)] = row_counts.get(int(w), 0) + 1
+    row_counts = dict(Counter(mat.sum(axis=1, dtype=int).tolist()))
     if row_counts != profile.row_weights:
         return False, f"row weight multiset {row_counts} != {profile.row_weights}"
-    if _has_duplicate_rows(mat.entries.T):
+    if _has_duplicate_rows(mat.T):
         return False, "duplicate columns"
-    if _has_duplicate_rows(mat.entries):
+    if _has_duplicate_rows(mat):
         return False, "duplicate rows"
     return True, None
 
@@ -326,16 +288,19 @@ def verify_profile(mat: SensingMatrix, profile: WeightProfile) -> tuple[bool, st
 # file format
 
 
-def save_matrix(mat: SensingMatrix, path) -> None:
+def save_matrix(mat: np.ndarray, path) -> None:
     """Write the exchange format: 'm n' header, then one 0/1 row per line."""
-    lines = [f"{mat.m} {mat.n}"]
-    for row in mat.entries:
+    lines = ["{} {}".format(*mat.shape)]
+    for row in mat:
         lines.append(" ".join("1" if v else "0" for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_matrix(path) -> SensingMatrix:
-    """Parse the exchange format, rejecting any deviation with a line number."""
+def load_matrix(path) -> np.ndarray:
+    """Parse the exchange format, rejecting any deviation with a line number.
+
+    Returns the matrix as a read-only uint8 array.
+    """
     text = Path(path).read_text()
     if not text.endswith("\n"):
         raise MatrixParseError(text.count("\n") + 1, "file must end with a newline")
@@ -362,4 +327,6 @@ def load_matrix(path) -> SensingMatrix:
         for j, tok in enumerate(tokens):
             if tok not in ("0", "1"):
                 raise MatrixParseError(i, f"entry {j} is {tok!r}, not 0/1")
-    return SensingMatrix(np.array(rows, dtype=np.uint8))
+    mat = np.array(rows, dtype=np.uint8)
+    mat.flags.writeable = False
+    return mat

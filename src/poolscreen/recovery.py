@@ -23,29 +23,7 @@ _SQRT_PI = math.sqrt(math.pi)
 
 
 # ---------------------------------------------------------------------------
-# instances
-
-
-@dataclass(frozen=True, eq=False)
-class PoolInstance:
-    """One pool's decode matrix (stage-1 rows included) and its readings."""
-
-    matrix: np.ndarray
-    measurements: np.ndarray
-
-    def __post_init__(self):
-        matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
-        meas = np.asarray(self.measurements, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ValueError("matrix must be 2-D")
-        if not np.all((matrix == 0) | (matrix == 1)):
-            raise ValueError("matrix must be 0/1")
-        if meas.shape != (matrix.shape[0],):
-            raise ValueError("one measurement per matrix row required")
-        if not np.all((meas >= 0) & (meas < math.inf)):  # NaN fails both
-            raise ValueError("measurements must be non-negative and finite")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "measurements", meas)
+# screening
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,18 +51,29 @@ class ReducedInstance:
         return self.sub_matrix.shape[1]
 
 
-def comp(instance: PoolInstance) -> ReducedInstance:
+def comp(matrix: np.ndarray, measurements: np.ndarray) -> ReducedInstance:
     """Screen columns: anything read as zero rules out every column it pools.
 
-    The survivors are a superset of the true support whenever readings are
-    exact zeros precisely on empty pools, which multiplicative noise grants.
+    matrix is a pool's 0/1 decode matrix (stage-1 rows included) and
+    measurements holds one reading per row.  The survivors are a superset of
+    the true support whenever readings are exact zeros precisely on empty
+    pools, which multiplicative noise grants.
     """
-    z = instance.measurements
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    z = np.asarray(measurements, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ValueError("matrix must be 2-D")
+    if not np.all((matrix == 0) | (matrix == 1)):
+        raise ValueError("matrix must be 0/1")
+    if z.shape != (matrix.shape[0],):
+        raise ValueError("one measurement per matrix row required")
+    if not np.all((z >= 0) & (z < math.inf)):  # NaN fails both
+        raise ValueError("measurements must be non-negative and finite")
     zero_rows = z == 0.0
-    killed = (instance.matrix[zero_rows] > 0).any(axis=0)
+    killed = (matrix[zero_rows] > 0).any(axis=0)
     survivors = np.flatnonzero(~killed)
     active = np.flatnonzero(~zero_rows)
-    sub = instance.matrix[np.ix_(active, survivors)]
+    sub = matrix[np.ix_(active, survivors)]
     return ReducedInstance(
         survivors=survivors,
         active_rows=active,
@@ -320,7 +309,16 @@ def _newton_direction(H, g, X, lo, hi, eye):
         Hf, gf = masked(free)
     else:
         Hf, gf = H, g
-    lam = np.linalg.eigvalsh(Hf)[:, 0]
+    try:
+        lam = np.linalg.eigvalsh(Hf)[:, 0]
+    except np.linalg.LinAlgError:
+        # a block that overflowed (at a noise scale near the smallest
+        # NoiseModel accepts) may have no eigenvalues; solved block by block,
+        # each such block gets a zero step, and its start settles
+        if H.shape[0] == 1:
+            return np.zeros_like(g)
+        one = [slice(i, i + 1) for i in range(H.shape[0])]
+        return np.concatenate([_newton_direction(H[i], g[i], X[i], lo, hi, eye) for i in one])
     tiny = 1e-9 * mag + _TINY
     # a positive definite block stays as it is; otherwise its smallest
     # eigenvalue is lifted to tiny + |lam|

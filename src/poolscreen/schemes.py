@@ -22,7 +22,6 @@ from .model import NoiseModel, Signal, UniformLoad, apply_noise_vec
 from .recovery import (
     BudgetExceeded,
     DecoderConfig,
-    PoolInstance,
     comp,
     estimate_pool_count,
     estimate_prevalence,
@@ -179,9 +178,9 @@ def _prevalence(cfg: SchemeConfig, t: int) -> float:
 
 def _stage2_matrix(cfg: SchemeConfig, rows: int, width: int, seed: int):
     if cfg.pin_builtin_matrices:
-        return builtin_matrix(rows, width).entries.astype(np.float64)
+        return builtin_matrix(rows, width).astype(np.float64)
     rng = np.random.default_rng(seed)
-    return profile_sample(BUILTIN_PROFILES[(rows, width)], rng).entries.astype(np.float64)
+    return profile_sample(BUILTIN_PROFILES[(rows, width)], rng).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +277,7 @@ def _run_adaptive(
         z2 = meter.read(mat @ values[cols])
         # one stage-1 row per pool, over that pool's block of columns
         decode_matrix = np.vstack([np.repeat(np.eye(len(pools)), s, axis=1), mat])
-        red = comp(PoolInstance(decode_matrix, np.concatenate([z1[list(pools)], z2])))
+        red = comp(decode_matrix, np.concatenate([z1[list(pools)], z2]))
         try:
             res = decode(red, cfg.decoder, p, noise, cfg.load_law)
         except BudgetExceeded as err:

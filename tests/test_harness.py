@@ -562,7 +562,7 @@ def test_cli_decode_round_trip(tmp_path, capsys):
     save_matrix(mat, matrix_path)
     loads = np.zeros(31)
     loads[4] = 620.0
-    readings = mat.entries.astype(float) @ loads
+    readings = mat.astype(float) @ loads
     noise = NoiseModel()
     readings = np.where(readings > 0, readings * noise.sample(rng, 6), 0.0)
     meas_path = tmp_path / "readings.txt"
@@ -589,7 +589,7 @@ def _write_found_instance(tmp_path):
     save_matrix(mat, matrix_path)
     loads = np.zeros(31)
     loads[[3, 9, 20]] = [120.0, 40.0, 700.0]
-    readings = apply_noise_vec(mat.entries @ loads, NoiseModel(0.07), np.random.default_rng(2))
+    readings = apply_noise_vec(mat @ loads, NoiseModel(0.07), np.random.default_rng(2))
     meas_path = tmp_path / "readings.txt"
     meas_path.write_text("\n".join(repr(float(v)) for v in readings) + "\n")
     return ["decode", "--matrix", str(matrix_path), "--measurements", str(meas_path)]
@@ -649,6 +649,20 @@ def test_cli_decode_rejects_non_finite_reading(tmp_path, capsys, token):
     assert captured.out == ""
 
 
+def test_cli_decode_rejects_a_negative_reading(tmp_path, capsys):
+    mat = builtin_matrix(5, 31)
+    matrix_path = tmp_path / "design.txt"
+    save_matrix(mat, matrix_path)
+    meas_path = tmp_path / "readings.txt"
+    meas_path.write_text("0\n120.5\n-3\n0\n0\n")
+    assert (
+        main(["decode", "--matrix", str(matrix_path), "--measurements", str(meas_path)]) == 2
+    )
+    captured = capsys.readouterr()
+    assert "measurements must be non-negative and finite" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--sigma-eps", "nan"], ["--sigma-eps", "inf"], ["--load-hi", "inf"]],
@@ -681,6 +695,21 @@ def test_cli_decode_refuses_a_noise_scale_whose_square_is_not_finite_and_normal(
     captured = capsys.readouterr()
     assert "finite square of at least" in captured.err
     assert captured.out == ""
+
+
+def test_cli_decode_settles_where_the_load_search_overflows(tmp_path, capsys):
+    # at a noise scale near the smallest NoiseModel accepts, every candidate
+    # of a reading far above the load box misfits past what a float holds
+    matrix_path = tmp_path / "design.txt"
+    matrix_path.write_text("1 4\n1 1 1 1\n")
+    meas_path = tmp_path / "readings.txt"
+    meas_path.write_text("1e9\n")
+    argv = ["decode", "--matrix", str(matrix_path), "--measurements", str(meas_path)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([*argv, "--sigma-eps", "1.5e-154"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["estimate"] == [] and payload["best_subset"] is None
+    assert payload["scored_subsets"] == 15
 
 
 def test_cli_decode_all_zero_readings(tmp_path, capsys):

@@ -12,7 +12,6 @@ from poolscreen.matrices import (
     BUILTIN_PROFILES,
     MatrixConstructionError,
     MatrixParseError,
-    SensingMatrix,
     WeightProfile,
     _gale_ryser_feasible,
     builtin_matrix,
@@ -39,8 +38,8 @@ EXPECTED_ONES = {
 @pytest.mark.parametrize("key", sorted(BUILTIN_PROFILES))
 def test_builtin_matrix_matches_profile_and_total(key):
     mat = builtin_matrix(*key)
-    assert (mat.m, mat.n) == key
-    assert mat.total_ones == EXPECTED_ONES[key]
+    assert mat.shape == key
+    assert mat.sum() == EXPECTED_ONES[key]
     ok, report = verify_profile(mat, BUILTIN_PROFILES[key])
     assert ok, report
 
@@ -116,7 +115,7 @@ def _stream_digest(mats, rng) -> str:
     """sha256 over the matrices' entries, then the generator's next 8 bytes."""
     h = hashlib.sha256()
     for mat in mats:
-        h.update(mat.entries.tobytes())
+        h.update(mat.tobytes())
     h.update(rng.bytes(8))
     return h.hexdigest()
 
@@ -181,20 +180,20 @@ def test_profile_sample_varies_with_seed():
     profile = BUILTIN_PROFILES[(6, 31)]
     a = profile_sample(profile, np.random.default_rng(1))
     b = profile_sample(profile, np.random.default_rng(2))
-    assert not np.array_equal(a.entries, b.entries)
+    assert not np.array_equal(a, b)
 
 
 def test_verify_profile_detects_violations():
     profile = BUILTIN_PROFILES[(6, 31)]
     mat = builtin_matrix(6, 31)
-    tampered = mat.entries.copy()
+    tampered = mat.copy()
     tampered[0, 0] ^= 1
-    ok, report = verify_profile(SensingMatrix(tampered), profile)
+    ok, report = verify_profile(tampered, profile)
     assert not ok and "weight" in report
 
-    dup = mat.entries.copy()
+    dup = mat.copy()
     dup[:, 1] = dup[:, 0]
-    ok, report = verify_profile(SensingMatrix(dup), profile)
+    ok, report = verify_profile(dup, profile)
     assert not ok
 
 
@@ -206,11 +205,6 @@ def test_gale_ryser_small_cases():
     assert not _gale_ryser_feasible(np.array([1, 1]), {3: 1})
 
 
-def test_sensing_matrix_rejects_non_binary():
-    with pytest.raises(ValueError):
-        SensingMatrix(np.array([[0, 2], [1, 0]]))
-
-
 # ------------------------------------------------------------- file format
 
 
@@ -219,12 +213,22 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "design.txt"
     save_matrix(mat, path)
     again = load_matrix(path)
-    assert np.array_equal(mat.entries, again.entries)
+    assert np.array_equal(mat, again)
     # byte-exact on re-save
     text = path.read_text()
     save_matrix(again, path)
     assert path.read_text() == text
     assert text.endswith("\n") and not any(line != line.rstrip() for line in text.split("\n"))
+
+
+def test_designs_are_read_only(tmp_path):
+    # the shipped designs are cached, so no caller may change one in place
+    path = tmp_path / "design.txt"
+    save_matrix(builtin_matrix(6, 31), path)
+    sampled = profile_sample(BUILTIN_PROFILES[(6, 31)], np.random.default_rng(0))
+    for mat in (load_matrix(path), builtin_matrix(6, 31), sampled):
+        with pytest.raises(ValueError, match="read-only"):
+            mat[0, 0] ^= 1
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,6 @@ from poolscreen.model import NoiseModel, UniformLoad
 from poolscreen.recovery import (
     BudgetExceeded,
     DecoderConfig,
-    PoolInstance,
     ReducedInstance,
     comp,
     estimate_pool_count,
@@ -40,13 +39,13 @@ NOISE = NoiseModel()
 
 
 def _instance(matrix, x, noise, rng, stage1=True):
-    """Assemble a PoolInstance for signal x, prepending an all-ones row."""
+    """The decode matrix and noisy readings for signal x, with an all-ones row first."""
     a = matrix.astype(float)
     if stage1:
         a = np.vstack([np.ones((1, a.shape[1])), a])
     y = a @ x
     z = np.where(y > 0, y * np.exp(rng.normal(0.0, noise.sigma_eps, size=y.shape)), 0.0)
-    return PoolInstance(a, z)
+    return a, z
 
 
 def _exact_instance(matrix, x, stage1=True):
@@ -54,7 +53,7 @@ def _exact_instance(matrix, x, stage1=True):
     a = matrix.astype(float)
     if stage1:
         a = np.vstack([np.ones((1, a.shape[1])), a])
-    return PoolInstance(a, a @ x)
+    return a, a @ x
 
 
 # scoring scale for exact-reading tests: small enough to crush misfits,
@@ -67,7 +66,7 @@ QUIET = NoiseModel(sigma_eps=3e-4)
 
 
 def test_comp_identity_keeps_positive_column():
-    red = comp(PoolInstance(np.eye(3), np.array([0.0, 5.2, 0.0])))
+    red = comp(np.eye(3), np.array([0.0, 5.2, 0.0]))
     assert red.survivors.tolist() == [1]
     assert red.active_rows.tolist() == [1]
     assert red.m_star == 1 and red.s_star == 1
@@ -77,7 +76,7 @@ def test_comp_all_positive_keeps_everything():
     rng = np.random.default_rng(0)
     a = (rng.random((4, 9)) < 0.5).astype(float)
     z = rng.uniform(1.0, 10.0, size=4)
-    red = comp(PoolInstance(a, z))
+    red = comp(a, z)
     assert red.survivors.tolist() == list(range(9))
     assert red.m_star == 4
 
@@ -90,7 +89,7 @@ def test_comp_matches_bruteforce_column_scan():
         sup = rng.choice(31, size=3, replace=False)
         x[sup] = rng.uniform(1.0, 1000.0, size=3)
         z = a @ x
-        red = comp(PoolInstance(a, z))
+        red = comp(a, z)
         expected = [
             j for j in range(31) if not any(z[i] == 0 and a[i, j] for i in range(8))
         ]
@@ -110,29 +109,31 @@ def test_comp_survivors_cover_true_support(seed):
         x[rng.choice(n, size=k, replace=False)] = rng.uniform(1.0, 1000.0, size=k)
     y = a @ x
     z = np.where(y > 0, y * np.exp(rng.normal(0.0, NOISE.sigma_eps, size=m)), 0.0)
-    red = comp(PoolInstance(a, z))
+    red = comp(a, z)
     assert set(np.flatnonzero(x).tolist()) <= set(red.survivors.tolist())
 
 
 def test_pool_instance_validation():
-    with pytest.raises(ValueError):
-        PoolInstance(np.array([[0.0, 2.0]]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        PoolInstance(np.eye(2), np.array([1.0]))
-    with pytest.raises(ValueError):
-        PoolInstance(np.eye(2), np.array([1.0, -0.5]))
+    with pytest.raises(ValueError, match="matrix must be 2-D"):
+        comp(np.ones(2), np.array([1.0]))
+    with pytest.raises(ValueError, match="matrix must be 0/1"):
+        comp(np.array([[0.0, 2.0]]), np.array([1.0]))
+    with pytest.raises(ValueError, match="one measurement per matrix row"):
+        comp(np.eye(2), np.array([1.0]))
+    with pytest.raises(ValueError, match="non-negative"):
+        comp(np.eye(2), np.array([1.0, -0.5]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_pool_instance_rejects_a_reading_that_is_not_finite(bad):
     # a NaN would pass a sign test and decode to nothing
     with pytest.raises(ValueError, match="finite"):
-        PoolInstance(np.eye(2), np.array([1.0, bad]))
+        comp(np.eye(2), np.array([1.0, bad]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_reduced_instance_rejects_a_reading_that_is_not_finite(bad):
-    # a hand-built instance skips PoolInstance's check; a NaN would decode
+    # a hand-built instance skips comp's check; a NaN would decode
     # to nothing
     with pytest.raises(ValueError, match="finite"):
         ReducedInstance(
@@ -441,7 +442,7 @@ def test_score_zero_when_row_uncovered(monkeypatch):
     # the zero reading clears columns 0 and 2, so the first reading pools no
     # survivor: no candidate is scored and nothing explains the readings
     a = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    red = comp(PoolInstance(a, np.array([4.0, 0.0, 7.0])))
+    red = comp(a, np.array([4.0, 0.0, 7.0]))
     assert red.survivors.tolist() == [1] and red.m_star == 2
     res = map_list_decode(red, DecoderConfig(), 0.1, NOISE, LAW)
     assert res.scored_count == 0
@@ -457,7 +458,7 @@ def test_score_zero_when_row_uncovered(monkeypatch):
     a = np.zeros((3, 21))
     a[0, 20] = a[1, 20] = 1.0  # the first reading pools only column 20, which the zero clears
     a[2, :20] = 1.0
-    red = comp(PoolInstance(a, np.array([300.0, 0.0, 2000.0])))
+    red = comp(a, np.array([300.0, 0.0, 2000.0]))
     assert red.s_star == 20 and red.m_star == 2
     res = map_list_decode(red, DecoderConfig(), 0.1, NOISE, LAW)
     assert calls == []
@@ -466,7 +467,7 @@ def test_score_zero_when_row_uncovered(monkeypatch):
 
     # with no positive reading, nothing is left to explain
     a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    red = comp(PoolInstance(a, np.zeros(2)))
+    red = comp(a, np.zeros(2))
     assert red.survivors.tolist() == [2] and red.m_star == 0
     res = map_list_decode(red, DecoderConfig(), 0.1, NOISE, LAW)
     assert res == recovery.DecodeResult((), None, 0, False)
@@ -477,17 +478,25 @@ def test_decode_returns_nothing_when_every_score_overflows():
     # at a noise scale near the smallest NoiseModel accepts, a reading far
     # above the load box's top misfits by more than a float can hold: every
     # candidate scores -inf, and none leads the list
+    # with one row pooling four or eight columns, some Newton blocks
+    # overflow too far for eigvalsh, and their starts must settle
     tiny = NoiseModel(sigma_eps=1.5e-154)
-    for a in (np.ones((1, 1)), np.eye(2)):
+    cases = [
+        (np.ones((1, 1)), 1e6, 1),
+        (np.eye(2), 1e6, 1),
+        (np.ones((1, 4)), 1e9, 15),
+        (np.ones((1, 8)), 1e9, 255),
+    ]
+    for a, z, scored in cases:
         red = ReducedInstance(
             survivors=np.arange(a.shape[1]),
             active_rows=np.arange(a.shape[0]),
             sub_matrix=a,
-            sub_measurements=np.full(a.shape[0], 1e6),
+            sub_measurements=np.full(a.shape[0], z),
         )
         with np.errstate(over="ignore", invalid="ignore"):
             res = map_list_decode(red, DecoderConfig(), 0.1, tiny, LAW)
-        assert res == recovery.DecodeResult((), None, 1, False)
+        assert res == recovery.DecodeResult((), None, scored, False)
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +542,10 @@ def _optimize_subset(red, subset):
 
 
 def test_score_concentrates_on_true_support_noiseless():
-    mat = builtin_matrix(6, 31).entries
+    mat = builtin_matrix(6, 31)
     x = np.zeros(31)
     x[[4, 17]] = [300.0, 88.0]
-    red = comp(_exact_instance(mat, x))
+    red = comp(*_exact_instance(mat, x))
     loc = {int(c): i for i, c in enumerate(red.survivors)}
     # every pair that pools each positive reading, the true one among them;
     # pairs share their prior terms, so the load objective ranks them
@@ -567,11 +576,11 @@ def test_score_multistart_runs_agree():
     # on three noisy positives of a shipped 7x31 design, on every covering
     # pair of one mixed pool, and on batches that push loads onto the bounds
     rng = np.random.default_rng(11)
-    mat = builtin_matrix(7, 31).entries
+    mat = builtin_matrix(7, 31)
     x = np.zeros(31)
     sup = [2, 9, 25]
     x[sup] = rng.uniform(1.0, 1000.0, size=3)
-    red = comp(_instance(mat, x, NOISE, rng))
+    red = comp(*_instance(mat, x, NOISE, rng))
     loc = {int(c): i for i, c in enumerate(red.survivors)}
     G, _, conv, a, v = _optimize_subset(red, tuple(loc[c] for c in sup))
     G_random = _best_of_random_starts(a[None], v, rng)[0]
@@ -581,7 +590,7 @@ def test_score_multistart_runs_agree():
 
     x = np.zeros(62)
     x[[int(rng.integers(0, 31)), int(rng.integers(31, 62))]] = rng.uniform(1.0, 1000.0, size=2)
-    red = comp(_instance(_mixed_matrix(), x, NOISE, rng, stage1=False))
+    red = comp(*_instance(_mixed_matrix(), x, NOISE, rng, stage1=False))
     pairs = [
         (i, j) for i, j in itertools.combinations(range(red.s_star), 2)
         if red.survivors[i] < 31 <= red.survivors[j]
@@ -622,7 +631,7 @@ def _shipped_instance(rows, k, seed):
     x = np.zeros(31)
     sup = np.sort(rng.choice(31, size=k, replace=False))
     x[sup] = rng.uniform(1.0, 1000.0, size=k)
-    red = comp(_instance(builtin_matrix(rows, 31).entries, x, NOISE, rng))
+    red = comp(*_instance(builtin_matrix(rows, 31), x, NOISE, rng))
     loc = {int(c): i for i, c in enumerate(red.survivors)}
     return red, tuple(loc[c] for c in sup)
 
@@ -794,10 +803,10 @@ def test_row_counts_and_coverage_match_gather_reference(k):
 
 
 def test_decode_alpha_one_returns_unique_argmax():
-    mat = builtin_matrix(6, 31).entries
+    mat = builtin_matrix(6, 31)
     x = np.zeros(31)
     x[[4, 17]] = [300.0, 88.0]
-    red = comp(_exact_instance(mat, x))
+    red = comp(*_exact_instance(mat, x))
     res = map_list_decode(red, DecoderConfig(alpha=1.0), 0.05, QUIET, LAW)
     assert res.estimate == (4, 17)
     assert res.best.subset == (4, 17)
@@ -818,12 +827,11 @@ def test_decode_exact_on_noiseless_distinguishable_instances():
     hits = 0
     for seed in range(8):
         rng = np.random.default_rng(seed)
-        mat = builtin_matrix(6, 31).entries
+        mat = builtin_matrix(6, 31)
         x = np.zeros(31)
         sup = np.sort(rng.choice(31, size=2, replace=False))
         x[sup] = rng.uniform(1.0, 1000.0, size=2)
-        inst = _exact_instance(mat, x)
-        red = comp(inst)
+        red = comp(*_exact_instance(mat, x))
         a_full = red.sub_matrix
         z_act = red.sub_measurements
         pair_res = {
@@ -850,7 +858,7 @@ def test_decode_exact_on_noiseless_distinguishable_instances():
 def test_decode_alpha_near_zero_unions_every_candidate():
     a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
     z = np.array([40.0, 70.0])
-    red = comp(PoolInstance(a, z))
+    red = comp(a, z)
     res = map_list_decode(red, DecoderConfig(alpha=1e-12), 0.3, NOISE, LAW)
     # oracle: every subset of sizes 1..3 whose columns cover both rows
     covering = []
@@ -866,13 +874,13 @@ def test_decode_alpha_near_zero_unions_every_candidate():
 
 
 def test_decode_alpha_monotone_in_list_size():
-    mat = builtin_matrix(7, 31).entries
+    mat = builtin_matrix(7, 31)
     for seed in range(5):
         rng = np.random.default_rng(90 + seed)
         x = np.zeros(31)
         sup = rng.choice(31, size=3, replace=False)
         x[sup] = rng.uniform(1.0, 1000.0, size=3)
-        red = comp(_instance(mat, x, NOISE, rng))
+        red = comp(*_instance(mat, x, NOISE, rng))
         prev = None
         for alpha in (1.0, 0.95, 0.8, 0.5):
             res = map_list_decode(red, DecoderConfig(alpha=alpha), 0.05, NOISE, LAW)
@@ -883,10 +891,10 @@ def test_decode_alpha_monotone_in_list_size():
 
 def test_decode_budget_overflow_carries_partial_result():
     rng = np.random.default_rng(1)
-    mat = builtin_matrix(8, 31).entries
+    mat = builtin_matrix(8, 31)
     x = np.zeros(31)
     x[rng.choice(31, size=4, replace=False)] = rng.uniform(1.0, 1000.0, size=4)
-    red = comp(_instance(mat, x, NOISE, rng))
+    red = comp(*_instance(mat, x, NOISE, rng))
     cfg = DecoderConfig(alpha=0.9, enumeration_cap=10)
     with pytest.raises(BudgetExceeded) as err:
         map_list_decode(red, cfg, 0.05, NOISE, LAW)
@@ -904,7 +912,7 @@ def test_decode_meeting_the_cap_exactly_is_no_budget_hit():
     mat = np.zeros((2, 92))
     mat[0, 0] = 1.0
     mat[1, 1:] = 1.0
-    red = comp(PoolInstance(mat, np.array([50.0, 400.0])))
+    red = comp(mat, np.array([50.0, 400.0]))
 
     def decode(cap):
         cfg = DecoderConfig(alpha=0.9, enumeration_cap=cap)
@@ -928,11 +936,11 @@ def test_decoding_needs_prevalence_strictly_inside_0_1(p):
 
 
 def test_decode_is_deterministic():
-    mat = builtin_matrix(7, 31).entries
+    mat = builtin_matrix(7, 31)
     rng = np.random.default_rng(17)
     x = np.zeros(31)
     x[rng.choice(31, size=3, replace=False)] = rng.uniform(1.0, 1000.0, size=3)
-    red = comp(_instance(mat, x, NOISE, rng))
+    red = comp(*_instance(mat, x, NOISE, rng))
     cfg = DecoderConfig(alpha=0.9)
     a = map_list_decode(red, cfg, 0.05, NOISE, LAW)
     b = map_list_decode(red, cfg, 0.05, NOISE, LAW)
@@ -1004,7 +1012,7 @@ def test_decode_equals_the_brute_force_list_and_skips_windows(monkeypatch):
         rng = np.random.default_rng(300 + seed)
         x = np.zeros(62)
         x[[rng.integers(0, 31), rng.integers(31, 62)]] = rng.uniform(1.0, 1000.0, size=2)
-        red = comp(_instance(_mixed_matrix(), x, NOISE, rng, stage1=False))
+        red = comp(*_instance(_mixed_matrix(), x, NOISE, rng, stage1=False))
         instances.append((red, 0.05, LAW))
     # a prior that grows with the size, p / (1 - p) above the box's width:
     # no size may be skipped, the largest included
@@ -1013,7 +1021,7 @@ def test_decode_equals_the_brute_force_list_and_skips_windows(monkeypatch):
     x = np.zeros(31)
     sup = rng.choice(31, size=3, replace=False)
     x[sup] = rng.uniform(1.0, 1.5, size=3)
-    red = comp(_instance(builtin_matrix(7, 31).entries, x, NOISE, rng))
+    red = comp(*_instance(builtin_matrix(7, 31), x, NOISE, rng))
     instances.append((red, 0.6, narrow))
     skipped = 0
     for red, p, law in instances:
@@ -1037,7 +1045,7 @@ def test_decode_equals_the_brute_force_list_and_skips_windows(monkeypatch):
 
 def _mixed_matrix():
     """Two width-31 pools measured together: per-pool rows plus a 9x62 code."""
-    mat = builtin_matrix(9, 62).entries.astype(float)
+    mat = builtin_matrix(9, 62).astype(float)
     head = np.zeros((2, 62))
     head[0, :31] = 1.0
     head[1, 31:] = 1.0
@@ -1053,7 +1061,7 @@ def test_mixed_decode_recovers_one_per_half_noiseless():
         left = int(rng.integers(0, 31))
         right = int(rng.integers(31, 62))
         x[[left, right]] = rng.uniform(1.0, 1000.0, size=2)
-        red = comp(PoolInstance(_mixed_matrix(), _mixed_matrix() @ x))
+        red = comp(_mixed_matrix(), _mixed_matrix() @ x)
         res = map_list_decode(red, cfg, 0.03, QUIET, LAW)
         assert set(res.estimate) >= {left, right}
         if res.estimate == (left, right):

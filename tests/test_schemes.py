@@ -388,7 +388,7 @@ def test_whole_trial_invariants(scheme, q, k, kappa, seed):
     rows = [d.stage2_rows for d in out.diagnostics]
     assert out.measurements_total == cfg.q + sum(rows)
     ones = sum(
-        builtin_matrix(d.stage2_rows, cfg.s * len(d.pools)).total_ones for d in out.diagnostics
+        int(builtin_matrix(d.stage2_rows, cfg.s * len(d.pools)).sum()) for d in out.diagnostics
     )
     assert out.pipetting_ops == cfg.n + ones
 
