@@ -4,10 +4,13 @@ A design is a read-only 2-D uint8 numpy array of zeros and ones.
 Stage-2 pooling matrices are sampled from fixed row/column weight profiles.
 Every profile asks for distinct columns (two samples with one row pattern
 cannot be told apart) and distinct rows (a repeated row is a wasted test).
+A profile that asks for every pattern of its column weights (5x31 does)
+fixes its column set and is drawn by a lean pass with the same stream.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -184,6 +187,16 @@ def profile_sample(profile: WeightProfile, rng: np.random.Generator) -> np.ndarr
     weights.sum())`` would draw it: one ``rng.random()`` located in the
     normalized cumulative sum.  The generator's stream, and so every matrix
     a seed gives, is that of the ``Generator.choice`` formulation.
+
+    A profile that asks for all C(m, w) patterns of each of its column
+    weights, each row at its share of their ones, fixes its column set
+    (_fixes_column_set; among the shipped profiles only 5x31).  The row
+    capacities left are then always those of the patterns still to place,
+    so every free pattern has positive weight, no Gale-Ryser check can fail
+    and no attempt dead-ends or restarts: each weighted column takes
+    exactly one ``rng.random()``.  _place_full_set takes them in one
+    ``rng.random(count)`` call, which returns the same numbers, and repeats
+    the cdf arithmetic, so it draws the same stream and the same matrices.
     """
     m, n = profile.m, profile.n
     col_weight_list = np.array(
@@ -193,6 +206,7 @@ def profile_sample(profile: WeightProfile, rng: np.random.Generator) -> np.ndarr
         [w for w, cnt in sorted(profile.row_weights.items()) for _ in range(cnt)], dtype=int
     )
 
+    full_set = _fixes_column_set(profile)
     last_reason = "no attempt ran"
     for _ in range(_MAX_ATTEMPTS):
         col_assigned = rng.permutation(col_weight_list)
@@ -200,21 +214,24 @@ def profile_sample(profile: WeightProfile, rng: np.random.Generator) -> np.ndarr
         fill_order = np.argsort(-col_assigned, kind="stable").tolist()
         col_assigned = col_assigned.tolist()
         entries = np.zeros((m, n), dtype=np.uint8)
-        # columns of different weights never share a row pattern, so each
-        # weight flags its own patterns, by position in _row_patterns(m, w)
-        used = {w: np.zeros(len(_row_patterns(m, w)[0]), bool) for w in profile.col_weights}
-        ok = True
-        rest_counts = {w: cnt for w, cnt in profile.col_weights.items() if w > 0}
-        for c in fill_order:
-            w = col_assigned[c]
-            if w > 0:
-                rest_counts[w] -= 1
-            if not _place_column(entries, caps, used[w], c, w, rest_counts, rng):
-                last_reason = f"dead end placing a weight-{w} column"
-                ok = False
-                break
-        if not ok:
-            continue
+        if full_set:
+            _place_full_set(entries, caps, fill_order, col_assigned, rng)
+        else:
+            # columns of different weights never share a row pattern, so each
+            # weight flags its own patterns, by position in _row_patterns(m, w)
+            used = {w: np.zeros(len(_row_patterns(m, w)[0]), bool) for w in profile.col_weights}
+            ok = True
+            rest_counts = {w: cnt for w, cnt in profile.col_weights.items() if w > 0}
+            for c in fill_order:
+                w = col_assigned[c]
+                if w > 0:
+                    rest_counts[w] -= 1
+                if not _place_column(entries, caps, used[w], c, w, rest_counts, rng):
+                    last_reason = f"dead end placing a weight-{w} column"
+                    ok = False
+                    break
+            if not ok:
+                continue
         if _has_duplicate_rows(entries):
             last_reason = "duplicate rows"
             continue
@@ -226,6 +243,55 @@ def profile_sample(profile: WeightProfile, rng: np.random.Generator) -> np.ndarr
     raise MatrixConstructionError(
         f"gave up after {_MAX_ATTEMPTS} attempts (last failure: {last_reason})"
     )
+
+
+def _fixes_column_set(profile: WeightProfile) -> bool:
+    """True when `profile` asks for every pattern of each of its column
+    weights and each row's weight is the ones those patterns put on it.
+
+    Such a profile has one column set, so a sample is a column permutation
+    of it.  A full column set whose row weights disagree is left to
+    _place_column, which dead-ends on it and gives up.  The last test keeps
+    every pattern weight sum below 2**53, where _place_full_set's integer
+    sums and _place_column's float sums agree exactly.
+    """
+    m = profile.m
+    share = sum(math.comb(m - 1, w - 1) for w in profile.col_weights if w > 0)
+    return (
+        all(cnt == math.comb(m, w) for w, cnt in profile.col_weights.items())
+        and profile.row_weights == {share: m}
+        and all(math.comb(m, w) * share**w < 2**53 for w in profile.col_weights)
+    )
+
+
+def _place_full_set(entries, caps, fill_order, col_assigned, rng) -> None:
+    """Place a fixed column set, drawing each pattern as _place_column does.
+
+    Each cdf is _place_column's, in Python floats: the integer weights over
+    their sum, accumulated left to right and normalized by the last entry,
+    which bisect does through its key.  The free patterns stay in ascending
+    order, as _place_column's candidates do.
+    """
+    m = len(caps)
+    cap = caps.__getitem__
+    free: dict[int, list[int]] = {}
+    rows: list[int] = []
+    cols: list[int] = []
+    weighted = [c for c in fill_order if col_assigned[c] > 0]
+    for c, u in zip(weighted, rng.random(len(weighted)).tolist()):
+        w = col_assigned[c]
+        combos = _row_patterns(m, w)[0]
+        pool = free.setdefault(w, list(range(len(combos))))
+        weights = [math.prod(map(cap, combos[p])) for p in pool]
+        total = sum(weights)
+        cdf = list(itertools.accumulate(x / total for x in weights))
+        last = cdf[-1]
+        pattern = combos[pool.pop(bisect.bisect_right(cdf, u, key=lambda x: x / last))]
+        for r in pattern:
+            caps[r] -= 1
+        rows += pattern
+        cols += [c] * w
+    entries[rows, cols] = 1
 
 
 def _place_column(entries, caps, used, c, w, rest_counts, rng) -> bool:

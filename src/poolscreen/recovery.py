@@ -515,12 +515,13 @@ def map_list_decode(
     search, since it can neither join the list nor lead it.  Before a size
     is listed, the same test is made on the best that any candidate of that
     size could score: its prior plus every row at its own peak density.  A
-    size whose prior alone rules it out is skipped without listing it.  The
-    prior falls with the size unless p / (1 - p) exceeds the load box's
-    width, and then no size is skipped.  The covered candidates of the sizes
-    listed count against cfg.enumeration_cap, and the skipped ones do not;
-    once a covered candidate is left unscored, the decode stops and raises
-    BudgetExceeded with what it has.
+    size whose prior alone rules it out ends the loop unlisted, since every
+    larger size is ruled out too.  The prior falls with the size unless
+    p / (1 - p) exceeds the load box's width, and then no size is skipped.
+    The covered candidates of the sizes listed count against
+    cfg.enumeration_cap, and the skipped ones do not; once a covered
+    candidate is left unscored, the decode stops and raises BudgetExceeded
+    with what it has.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
@@ -549,9 +550,14 @@ def map_list_decode(
         prior = _prior_part(size, reduced.s_star, p, law)
         # every row's term is at most 0, so no candidate's bound exceeds
         # const + prior; the bound adds prior and then const to a sum of
-        # terms <= 0 and rounding is monotone, so that holds as computed too
+        # terms <= 0 and rounding is monotone, so that holds as computed too.
+        # No larger size can reach the list either: _prior_part is linear in
+        # the size, so a skipped size means the prior falls with the size,
+        # and best_logf only rises.  Where the prior rises with the size no
+        # size is skipped, since the best score so far is at most const plus
+        # the prior of a smaller size.
         if const + prior < log_alpha + best_logf:
-            continue  # no candidate of this size can reach the list
+            break  # no candidate of this size or larger can reach the list
         combos = itertools.combinations(range(reduced.s_star), size)
         while not exceeded:
             chunk = np.array(list(itertools.islice(combos, _CHUNK)), dtype=np.intp)

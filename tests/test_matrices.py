@@ -176,6 +176,39 @@ def test_profile_sample_more_than_20_rows(seed):
     assert ok, report
 
 
+def test_full_column_set_pass_draws_the_placement_loop_stream(monkeypatch):
+    # a profile asking for every pattern of its column weights, with each
+    # row's share of their ones, takes the lean pass; with the predicate
+    # forced false the placement loop draws it, and both must give the same
+    # matrices and leave the generator at the same point
+    fixed = [key for key, prof in BUILTIN_PROFILES.items() if matrices._fixes_column_set(prof)]
+    assert fixed == [(5, 31)]
+    # every pair over 4 rows, but not the row weights all six pairs give
+    assert not matrices._fixes_column_set(
+        WeightProfile(col_weights={2: 6}, row_weights={2: 1, 3: 2, 4: 1})
+    )
+    no_empty = WeightProfile(col_weights={1: 4, 2: 6, 3: 4}, row_weights={7: 4})
+    # two rows that every pattern treats alike: each attempt ends on duplicate rows
+    twin_rows = WeightProfile(col_weights={0: 1, 2: 1}, row_weights={1: 2})
+    assert matrices._fixes_column_set(no_empty) and matrices._fixes_column_set(twin_rows)
+    monkeypatch.setattr(matrices, "_MAX_ATTEMPTS", 50)
+    cases = [(BUILTIN_PROFILES[(5, 31)], seed) for seed in range(300)]
+    cases += [(no_empty, seed) for seed in range(50)]
+
+    def draw_all():
+        out = []
+        for profile, seed in cases:
+            rng = np.random.default_rng(seed)
+            out.append((profile_sample(profile, rng).tobytes(), rng.bytes(8)))
+        with pytest.raises(MatrixConstructionError, match="duplicate rows"):
+            profile_sample(twin_rows, rng := np.random.default_rng(0))
+        return out, rng.bytes(8)
+
+    lean = draw_all()
+    monkeypatch.setattr(matrices, "_fixes_column_set", lambda profile: False)
+    assert draw_all() == lean
+
+
 def test_profile_sample_varies_with_seed():
     profile = BUILTIN_PROFILES[(6, 31)]
     a = profile_sample(profile, np.random.default_rng(1))
