@@ -4,13 +4,13 @@ A design is a read-only 2-D uint8 numpy array of zeros and ones.
 Stage-2 pooling matrices are sampled from fixed row/column weight profiles.
 Every profile asks for distinct columns (two samples with one row pattern
 cannot be told apart) and distinct rows (a repeated row is a wasted test).
-A profile that asks for every pattern of its column weights (5x31 does)
-fixes its column set and is drawn by a lean pass with the same stream.
+A column-weight class that asks for every pattern of its weight is dealt
+to its columns by one permutation, and a last class that takes most of its
+patterns is drawn by the patterns it leaves out.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from collections import Counter
@@ -88,6 +88,10 @@ class WeightProfile:
                         f"{name}[{w}] is {c}, more than the C({length}, {w}) ="
                         f" {math.comb(length, w)} distinct patterns of that weight"
                     )
+
+    def __hash__(self) -> int:
+        # equality compares the dicts, so equal profiles list equal items
+        return hash(tuple(tuple(sorted(d.items())) for d in (self.col_weights, self.row_weights)))
 
     @property
     def n(self) -> int:
@@ -167,146 +171,167 @@ def _row_patterns(m: int, w: int):
 
 def _has_duplicate_rows(entries: np.ndarray) -> bool:
     """True when two rows of a 2-D array are equal (pass .T for columns)."""
-    return len({row.tobytes() for row in entries}) != entries.shape[0]
+    flat, step = np.ascontiguousarray(entries).tobytes(), entries.shape[1] * entries.itemsize
+    return len({flat[i * step:(i + 1) * step] for i in range(entries.shape[0])}) != entries.shape[0]
 
 
 # restarts profile_sample makes before it gives up
 _MAX_ATTEMPTS = 10_000
 
 
-def profile_sample(profile: WeightProfile, rng: np.random.Generator) -> np.ndarray:
-    """Sample a profile.m x profile.n matrix realizing `profile`, uniformly-ish.
+@lru_cache(maxsize=None)
+def _layout(profile: WeightProfile):
+    """A profile's derived data, built once per profile.
 
-    Columns are filled one at a time, heaviest first, choosing each column's
-    rows with probability proportional to the product of remaining row
-    capacities among the patterns no column of that weight uses yet.  A
-    Gale-Ryser check prunes placements that strand the residual degree
-    sequence; dead ends and duplicate rows restart the whole attempt.
-
-    Each pattern is drawn exactly as ``rng.choice(len(weights), p=weights /
-    weights.sum())`` would draw it: one ``rng.random()`` located in the
-    normalized cumulative sum.  The generator's stream, and so every matrix
-    a seed gives, is that of the ``Generator.choice`` formulation.
-
-    A profile that asks for all C(m, w) patterns of each of its column
-    weights, each row at its share of their ones, fixes its column set
-    (_fixes_column_set; among the shipped profiles only 5x31).  The row
-    capacities left are then always those of the patterns still to place,
-    so every free pattern has positive weight, no Gale-Ryser check can fail
-    and no attempt dead-ends or restarts: each weighted column takes
-    exactly one ``rng.random()``.  _place_full_set takes them in one
-    ``rng.random(count)`` call, which returns the same numbers, and repeats
-    the cdf arithmetic, so it draws the same stream and the same matrices.
+    Returns its column and row weight lists; its column-weight classes,
+    heaviest first, as (weight, count, how, offset); and an m x P block
+    holding every pattern of those weights as a column, where a class's
+    patterns start at its offset, in _row_patterns order.  `how` is "full"
+    when the class asks for every pattern of its weight, "left_out" for the
+    last positive-weight class when it takes more than half its patterns,
+    and "columns" otherwise.
     """
-    m, n = profile.m, profile.n
+    m = profile.m
     col_weight_list = np.array(
         [w for w, cnt in sorted(profile.col_weights.items()) for _ in range(cnt)], dtype=int
     )
     row_weight_list = np.array(
         [w for w, cnt in sorted(profile.row_weights.items()) for _ in range(cnt)], dtype=int
     )
+    last = min((w for w in profile.col_weights if w > 0), default=None)
+    classes, blocks, offset = [], [], 0
+    for w, cnt in sorted(profile.col_weights.items(), reverse=True):
+        idx = _row_patterns(m, w)[1]
+        if cnt == len(idx):
+            how = "full"
+        elif w == last and 2 * cnt > len(idx):
+            how = "left_out"
+        else:
+            how = "columns"
+        classes.append((w, cnt, how, offset))
+        block = np.zeros((m, len(idx)), dtype=np.uint8)
+        block[idx, np.arange(len(idx))[:, None]] = 1
+        blocks.append(block)
+        offset += len(idx)
+    patterns = np.concatenate(blocks, axis=1) if blocks else np.zeros((m, 0), dtype=np.uint8)
+    # every draw of the profile shares the block; the weight lists reach only
+    # rng.permutation, which copies them
+    patterns.flags.writeable = False
+    return col_weight_list, row_weight_list, tuple(classes), patterns
 
-    full_set = _fixes_column_set(profile)
+
+def profile_sample(profile: WeightProfile, rng: np.random.Generator) -> np.ndarray:
+    """Sample a profile.m x profile.n matrix realizing `profile`, uniformly-ish.
+
+    Column weights are dealt to the columns and row weights to the rows by
+    two permutations; the column-weight classes are then placed heaviest
+    first, each on its columns in ascending order.  A class is placed column
+    by column, each column's rows chosen with probability proportional to
+    the product of remaining row capacities among the patterns no column of
+    that weight uses yet, except in two cases, where the class's pattern set
+    is found whole and dealt to its columns by one uniform permutation:
+
+    - a class that asks for every pattern of its weight takes them all and
+      draws none, each row giving C(m-1, w-1) of its capacity (5x31 is one
+      column permutation of its fixed set; 6x31's weight-4 class is forced);
+    - the last positive-weight class, when it takes more than half its
+      patterns, draws the patterns it leaves out instead, by the same
+      product rule on the capacities C(m-1, w-1) - cap they must cover
+      (6x31 leaves out four weight-3 patterns that cover each row exactly
+      twice, one of 75 such sets).
+
+    A Gale-Ryser check prunes each drawn pattern that strands the residual
+    degree sequence; dead ends, a full class that overfills a row, and
+    duplicate rows restart the whole attempt.
+
+    Each drawn pattern takes one ``rng.random()``, located in the normalized
+    cumulative sum as ``rng.choice(len(weights), p=weights / weights.sum())``
+    would locate it, and a whole class takes one ``rng.permutation``.  So a
+    profile whose positive-weight classes are all placed column by column
+    (7x31 and the 62-wide designs) draws the stream of that
+    ``Generator.choice`` formulation.
+    """
+    col_weight_list, row_weight_list, classes, patterns = _layout(profile)
     last_reason = "no attempt ran"
     for _ in range(_MAX_ATTEMPTS):
         col_assigned = rng.permutation(col_weight_list)
         caps = rng.permutation(row_weight_list).tolist()
-        fill_order = np.argsort(-col_assigned, kind="stable").tolist()
-        col_assigned = col_assigned.tolist()
-        entries = np.zeros((m, n), dtype=np.uint8)
-        if full_set:
-            _place_full_set(entries, caps, fill_order, col_assigned, rng)
+        fill_order = np.argsort(-col_assigned, kind="stable")
+        # each column's pattern, as a column index into `patterns`
+        pattern_of = np.empty(profile.n, dtype=np.intp)
+        rest_counts = {w: cnt for w, cnt, _, _ in classes if w > 0}
+        start = 0
+        for w, cnt, how, offset in classes:
+            picks = _class_patterns(caps, w, cnt, how, rest_counts, rng)
+            if picks is None:
+                last_reason = f"dead end placing a weight-{w} column"
+                break
+            pattern_of[fill_order[start:start + cnt]] = offset + picks
+            start += cnt
         else:
-            # columns of different weights never share a row pattern, so each
-            # weight flags its own patterns, by position in _row_patterns(m, w)
-            used = {w: np.zeros(len(_row_patterns(m, w)[0]), bool) for w in profile.col_weights}
-            ok = True
-            rest_counts = {w: cnt for w, cnt in profile.col_weights.items() if w > 0}
-            for c in fill_order:
-                w = col_assigned[c]
-                if w > 0:
-                    rest_counts[w] -= 1
-                if not _place_column(entries, caps, used[w], c, w, rest_counts, rng):
-                    last_reason = f"dead end placing a weight-{w} column"
-                    ok = False
-                    break
-            if not ok:
-                continue
-        if _has_duplicate_rows(entries):
+            # np.take keeps C order, which patterns[:, pattern_of] does not
+            entries = np.take(patterns, pattern_of, axis=1)
+            if not _has_duplicate_rows(entries):
+                good, report = verify_profile(entries, profile)
+                if not good:  # pragma: no cover - construction enforces the profile
+                    raise MatrixConstructionError(f"sampler produced an invalid matrix: {report}")
+                entries.flags.writeable = False
+                return entries
             last_reason = "duplicate rows"
-            continue
-        good, report = verify_profile(entries, profile)
-        if not good:  # pragma: no cover - construction enforces the profile
-            raise MatrixConstructionError(f"sampler produced an invalid matrix: {report}")
-        entries.flags.writeable = False
-        return entries
     raise MatrixConstructionError(
         f"gave up after {_MAX_ATTEMPTS} attempts (last failure: {last_reason})"
     )
 
 
-def _fixes_column_set(profile: WeightProfile) -> bool:
-    """True when `profile` asks for every pattern of each of its column
-    weights and each row's weight is the ones those patterns put on it.
+def _class_patterns(caps, w, count, how, rest_counts, rng):
+    """The weight-w pattern of each of a class's `count` columns, or None at a dead end.
 
-    Such a profile has one column set, so a sample is a column permutation
-    of it.  A full column set whose row weights disagree is left to
-    _place_column, which dead-ends on it and gives up.  The last test keeps
-    every pattern weight sum below 2**53, where _place_full_set's integer
-    sums and _place_column's float sums agree exactly.
-    """
-    m = profile.m
-    share = sum(math.comb(m - 1, w - 1) for w in profile.col_weights if w > 0)
-    return (
-        all(cnt == math.comb(m, w) for w, cnt in profile.col_weights.items())
-        and profile.row_weights == {share: m}
-        and all(math.comb(m, w) * share**w < 2**53 for w in profile.col_weights)
-    )
-
-
-def _place_full_set(entries, caps, fill_order, col_assigned, rng) -> None:
-    """Place a fixed column set, drawing each pattern as _place_column does.
-
-    Each cdf is _place_column's, in Python floats: the integer weights over
-    their sum, accumulated left to right and normalized by the last entry,
-    which bisect does through its key.  The free patterns stay in ascending
-    order, as _place_column's candidates do.
-    """
-    m = len(caps)
-    cap = caps.__getitem__
-    free: dict[int, list[int]] = {}
-    rows: list[int] = []
-    cols: list[int] = []
-    weighted = [c for c in fill_order if col_assigned[c] > 0]
-    for c, u in zip(weighted, rng.random(len(weighted)).tolist()):
-        w = col_assigned[c]
-        combos = _row_patterns(m, w)[0]
-        pool = free.setdefault(w, list(range(len(combos))))
-        weights = [math.prod(map(cap, combos[p])) for p in pool]
-        total = sum(weights)
-        cdf = list(itertools.accumulate(x / total for x in weights))
-        last = cdf[-1]
-        pattern = combos[pool.pop(bisect.bisect_right(cdf, u, key=lambda x: x / last))]
-        for r in pattern:
-            caps[r] -= 1
-        rows += pattern
-        cols += [c] * w
-    entries[rows, cols] = 1
-
-
-def _place_column(entries, caps, used, c, w, rest_counts, rng) -> bool:
-    """Choose rows for column c among the weight-w patterns `used` leaves free.
-
-    `caps` is the list of remaining row capacities and `used` flags the
-    weight-w patterns already placed; both are updated in place, as is
-    `rest_counts`, which holds the weights still to place.
+    Patterns are indices into _row_patterns(m, w), placed as _layout's `how`
+    says.  `caps` holds the remaining row capacities and `rest_counts` the
+    weights still to place; both are updated in place.
     """
     if w == 0:
-        # the one empty pattern; placing it draws nothing
-        if used[0]:
-            return False
-        used[0] = True
-        return True
+        return np.zeros(count, dtype=np.intp)  # the one empty pattern; it draws nothing
+    m = len(caps)
+    total = math.comb(m, w)
+    if how == "columns":
+        used = np.zeros(total, bool)
+        picks = []
+        for _ in range(count):
+            rest_counts[w] -= 1
+            pick = _pick_pattern(caps, used, w, rest_counts, rng)
+            if pick is None:
+                return None
+            picks.append(pick)
+        return np.array(picks, dtype=np.intp)
+    share = math.comb(m - 1, w - 1)
+    rest_counts[w] = 0
+    if how == "full":
+        # no Gale-Ryser check: a stranded remainder fails a later pattern's
+        # check or a later full class's row check, so one here only restarts sooner
+        caps[:] = [c - share for c in caps]
+        return rng.permutation(total) if min(caps) >= 0 else None
+    # the last class to place: the patterns it leaves out put on each row
+    # the ones a full class would, less that row's capacity
+    out_caps = [share - c for c in caps]
+    if min(out_caps) < 0:
+        return None
+    left_out = np.zeros(total, bool)
+    for rest in range(total - count - 1, -1, -1):
+        if _pick_pattern(out_caps, left_out, w, {w: rest}, rng) is None:
+            return None
+    caps[:] = [0] * m
+    return rng.permutation(np.flatnonzero(~left_out))
+
+
+def _pick_pattern(caps, used, w, rest_counts, rng):
+    """Draw a weight-w pattern that `used` leaves free; None at a dead end.
+
+    Each free pattern is drawn with probability proportional to the product
+    of its rows' remaining capacities in `caps`, and kept when the remaining
+    weights in `rest_counts` stay Gale-Ryser feasible.  Returns its index
+    in _row_patterns(len(caps), w), with `caps` and `used` updated in place.
+    """
     combos, idx = _row_patterns(len(caps), w)
     # caps never go negative, so a product is 0 exactly when a row is full
     weights = np.array(caps)[idx].prod(axis=1)
@@ -322,14 +347,13 @@ def _place_column(entries, caps, used, c, w, rest_counts, rng) -> bool:
         for r in rows:
             caps[r] -= 1
         if _gale_ryser_feasible(caps, rest_counts):
-            entries[rows, c] = 1
             used[pick] = True
-            return True
+            return pick
         for r in rows:
             caps[r] += 1
         cand = np.delete(cand, i)
         weights = np.delete(weights, i)
-    return False
+    return None
 
 
 def verify_profile(mat: np.ndarray, profile: WeightProfile) -> tuple[bool, str | None]:

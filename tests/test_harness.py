@@ -276,8 +276,8 @@ def test_simulate_output_is_pinned_on_a_small_grid(tmp_path):
         for name in ("results.csv", "trials.jsonl")
     }
     assert digests == {
-        "results.csv": "6a62e4724eec24ec234b209820a5acae8ae89c95f87f2d8198d880f67d87dc6a",
-        "trials.jsonl": "0a5a23067d7f1f0f97b7fbdf649d8e0c8afe9b7913a3306f4e44655d8587604b",
+        "results.csv": "15ed6396ffd84a00fcf62119dc52b96e3478062b5f6ca84531bf2a90e98c6042",
+        "trials.jsonl": "b4ebdaa5bfa985f913b7e66fa3ce308e69d256154ab5635fba8720db4ff41ea2",
     }
 
 
@@ -295,21 +295,22 @@ def test_simulate_output_is_pinned_on_a_small_sampled_grid(tmp_path):
         for name in ("results.csv", "trials.jsonl")
     }
     assert digests == {
-        "results.csv": "413d6f022d831d493406f1bb7adc7772dd766a98f376610ec238b61611b875d9",
-        "trials.jsonl": "08adc6922e7ff8237d77ee6acd48b943c9ee37b5a7d317941bc7246758fc6d6c",
+        "results.csv": "7fd9cd7f4613c442819bdcef03bc5f8f0b9504b19956b005faf58567a7437a41",
+        "trials.jsonl": "ff5ff24ff561791bbf805b85ab784ddc93f46fb127644a144589a38aee929e42",
     }
 
 
 def test_decoder_reaches_a_pool_count_above_its_estimate():
-    # stap2, k = 5, sampled designs, master seed 1, trial 175: pool 0 holds
-    # three positives (columns 4, 5 and 9), but its count estimate is 1 and
-    # no reading screens out any of its 31 columns.  The decoder scores size
-    # 3 all the same and finds 4 of the 5 positives, with 1 false one
+    # stap2, k = 5, sampled designs, master seed 1, trial 10416: pool 28
+    # holds three positives (columns 882, 885 and 897), but its count
+    # estimate is 1 and no reading screens out any of its 31 columns.  The
+    # decoder scores size 3 all the same and finds 4 of the 5 positives, with
+    # 1 false one
     cfg = _mini_config(n=961, k_values=(5,), trials=1, master_seed=1, schemes=("stap2",))
-    rec = harness._run_trial((cfg, "stap2", 5, 0.9, 175))
-    assert rec["support"] == [4, 5, 9, 175, 667]
+    rec = harness._run_trial((cfg, "stap2", 5, 0.9, 10416))
+    assert rec["support"] == [370, 781, 882, 885, 897]
     assert (rec["tp"], rec["fp"]) == (4, 1)
-    assert rec["estimate"] == [0, 4, 5, 175, 667]
+    assert rec["estimate"] == [370, 781, 885, 893, 897]
 
 
 def test_trial_records_are_self_consistent():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -107,8 +108,12 @@ def test_profile_sample_infeasible_distinctness_gives_up(monkeypatch):
     # pairs, which put every row at weight 3
     monkeypatch.setattr(matrices, "_MAX_ATTEMPTS", 50)
     profile = WeightProfile(col_weights={2: 6}, row_weights={2: 1, 3: 2, 4: 1})
-    with pytest.raises(MatrixConstructionError, match="after 50 attempts"):
+    with pytest.raises(MatrixConstructionError) as err:
         profile_sample(profile, np.random.default_rng(0))
+    # the weight-2 class is full, and its share of 3 ones overfills a row
+    assert str(err.value) == (
+        "gave up after 50 attempts (last failure: dead end placing a weight-2 column)"
+    )
 
 
 def _stream_digest(mats, rng) -> str:
@@ -125,8 +130,8 @@ def _stream_digest(mats, rng) -> str:
 # sampler's whole random stream (which patterns it draws, and how many
 # numbers it takes), not only its first matrix.
 SAMPLER_STREAM_DIGESTS = {
-    (5, 31): "8bebe21648871117be1ef882ef6dfec76f8f651c1a42a8268867f5806c1bc7b0",
-    (6, 31): "7775a4de1adf4d22e3280c66aed9079a023f4c56b928d3eeacd0f642c045de79",
+    (5, 31): "577ae34542ca0864c38e3dd0bf8474133c2158d4d601d59f6186b9152a246c5f",
+    (6, 31): "4b34710b9c5e7e59711eb9f9fa525640ff61a6d75a0b27a3e6bdf58a29405b12",
     (7, 31): "c9fe7d6b0693dd073740f8e987b05292c0507abff0525c998def001a11d795db",
     (8, 31): "9ebaba7e71c52d026b587175df52c73cd02eddee497ccdba0cda73cced94bd9e",
     (9, 62): "21177b1e37e1c1fa99a729953fa3c26e6cea44e7c4f7979b653ff9c9d00834af",
@@ -176,37 +181,86 @@ def test_profile_sample_more_than_20_rows(seed):
     assert ok, report
 
 
-def test_full_column_set_pass_draws_the_placement_loop_stream(monkeypatch):
-    # a profile asking for every pattern of its column weights, with each
-    # row's share of their ones, takes the lean pass; with the predicate
-    # forced false the placement loop draws it, and both must give the same
-    # matrices and leave the generator at the same point
-    fixed = [key for key, prof in BUILTIN_PROFILES.items() if matrices._fixes_column_set(prof)]
-    assert fixed == [(5, 31)]
-    # every pair over 4 rows, but not the row weights all six pairs give
-    assert not matrices._fixes_column_set(
-        WeightProfile(col_weights={2: 6}, row_weights={2: 1, 3: 2, 4: 1})
-    )
-    no_empty = WeightProfile(col_weights={1: 4, 2: 6, 3: 4}, row_weights={7: 4})
-    # two rows that every pattern treats alike: each attempt ends on duplicate rows
-    twin_rows = WeightProfile(col_weights={0: 1, 2: 1}, row_weights={1: 2})
-    assert matrices._fixes_column_set(no_empty) and matrices._fixes_column_set(twin_rows)
+def test_weight_profile_hashes_by_its_weights():
+    # equal profiles, their dicts built in different orders, hash equal, so
+    # the sampler builds a profile's derived data once
+    a = WeightProfile(col_weights={3: 16, 4: 15}, row_weights={18: 6})
+    b = WeightProfile(col_weights={4: 15, 3: 16}, row_weights={18: 6})
+    assert a == b == BUILTIN_PROFILES[(6, 31)]
+    assert hash(a) == hash(b) == hash(BUILTIN_PROFILES[(6, 31)])
+    assert matrices._layout(a) is matrices._layout(b)
+    assert hash(BUILTIN_PROFILES[(5, 31)]) != hash(a)
+
+
+def _column_patterns(mat) -> list[tuple[int, ...]]:
+    return [tuple(np.flatnonzero(col).tolist()) for col in mat.T]
+
+
+def test_5x31_draw_is_a_column_permutation_of_every_pattern():
+    # every 5-row pattern but the all-ones one: each class is full, so a draw
+    # only arranges the fixed column set, and seeds arrange it differently
+    every = {p for w in range(5) for p in itertools.combinations(range(5), w)}
+    arrangements = set()
+    # the pattern on each weight class's leftmost column
+    leftmost = set()
+    for seed in range(200):
+        mat = profile_sample(BUILTIN_PROFILES[(5, 31)], np.random.default_rng(seed))
+        cols = _column_patterns(mat)
+        assert set(cols) == every and len(cols) == 31
+        arrangements.add(tuple(cols))
+        leftmost |= {next(p for p in cols if len(p) == w) for w in range(5)}
+    assert len(arrangements) == 200
+    # a class's patterns are dealt to its columns at random, not in order
+    assert leftmost == every
+
+
+def _six_row_left_out_sets() -> set[frozenset]:
+    # sets of four weight-3 patterns over 6 rows that cover each row twice
+    triples = list(itertools.combinations(range(6), 3))
+    return {
+        frozenset(four) for four in itertools.combinations(triples, 4)
+        if all(sum(r in t for t in four) == 2 for r in range(6))
+    }
+
+
+def test_6x31_draw_leaves_out_four_patterns_covering_each_row_twice():
+    # the weight-4 class is full; the weight-3 class takes 16 of 20 patterns,
+    # so its draw picks the four it leaves out, which must then give each row
+    # the 10 - 8 = 2 ones its capacity cannot take; 3 000 seeds reach every set
+    sets = _six_row_left_out_sets()
+    assert len(sets) == 75
+    weight4 = set(itertools.combinations(range(6), 4))
+    triples = set(itertools.combinations(range(6), 3))
+    seen = set()
+    for seed in range(3000):
+        mat = profile_sample(BUILTIN_PROFILES[(6, 31)], np.random.default_rng(seed))
+        cols = _column_patterns(mat)
+        assert weight4 <= set(cols)
+        left_out = frozenset(triples - set(cols))
+        assert left_out in sets
+        seen.add(left_out)
+    assert seen == sets
+
+
+def test_left_out_class_after_a_column_by_column_class():
+    # the weight-3 class is drawn column by column and can leave a row more
+    # capacity than the 4 ones all weight-2 patterns give it; the left-out
+    # draw must then restart, not hand back a matrix off its profile
+    profile = WeightProfile(col_weights={3: 4, 2: 8}, row_weights={7: 1, 6: 2, 5: 1, 4: 1})
+    assert [how for _, _, how, _ in matrices._layout(profile)[2]] == ["columns", "left_out"]
+    for seed in range(200):
+        ok, report = verify_profile(profile_sample(profile, np.random.default_rng(seed)), profile)
+        assert ok, report
+
+
+def test_twin_rows_profile_gives_up_on_duplicate_rows(monkeypatch):
+    # two rows that every pattern treats alike: both classes are full, and
+    # each attempt ends on duplicate rows
     monkeypatch.setattr(matrices, "_MAX_ATTEMPTS", 50)
-    cases = [(BUILTIN_PROFILES[(5, 31)], seed) for seed in range(300)]
-    cases += [(no_empty, seed) for seed in range(50)]
-
-    def draw_all():
-        out = []
-        for profile, seed in cases:
-            rng = np.random.default_rng(seed)
-            out.append((profile_sample(profile, rng).tobytes(), rng.bytes(8)))
-        with pytest.raises(MatrixConstructionError, match="duplicate rows"):
-            profile_sample(twin_rows, rng := np.random.default_rng(0))
-        return out, rng.bytes(8)
-
-    lean = draw_all()
-    monkeypatch.setattr(matrices, "_fixes_column_set", lambda profile: False)
-    assert draw_all() == lean
+    profile = WeightProfile(col_weights={0: 1, 2: 1}, row_weights={1: 2})
+    with pytest.raises(MatrixConstructionError) as err:
+        profile_sample(profile, np.random.default_rng(0))
+    assert str(err.value) == "gave up after 50 attempts (last failure: duplicate rows)"
 
 
 def test_profile_sample_varies_with_seed():
