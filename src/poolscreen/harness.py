@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .model import NoiseModel, Signal, UniformLoad, generate_signal_fixed_k
+from .model import NoiseModel, UniformLoad, generate_signal_fixed_k
 from .recovery import DecoderConfig
 from .schemes import DECODED_SCHEMES, SCHEME_NAMES, SchemeConfig, TrialOutcome, run_scheme
 
@@ -91,15 +91,14 @@ class ExperimentConfig:
             raise ValueError("duplicate scheme names")
         if not self.alpha_values:
             raise ValueError("alpha_values must be non-empty")
-        if any(not 0.0 < a <= 1.0 for a in self.alpha_values):
-            raise ValueError("alpha values must lie in (0, 1]")
         if len(set(self.alpha_values)) != len(self.alpha_values):
             raise ValueError("duplicate alpha values")
-        # the noise, the load law and each scheme's settings check their own
-        # values; build them once here so that a bad value fails before any trial
+        # the noise, the load law, the decoder and each scheme's settings check their
+        # own values; build each once here so that a bad value fails before any trial
         self.noise()
         for name in self.schemes:
-            self.scheme_config(name, self.alpha_values[0])
+            for alpha in self.alpha_values:
+                self.scheme_config(name, alpha)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -213,15 +212,16 @@ class ConfusionCounts:
         return self.true_pos + self.false_pos + self.true_neg + self.false_neg
 
 
-def score_trial(truth: Signal, estimate) -> ConfusionCounts:
+def score_trial(truth: np.ndarray, estimate) -> ConfusionCounts:
+    n = truth.shape[0]
     est = {int(j) for j in estimate}
-    if est and not all(0 <= j < truth.n for j in est):
+    if est and not all(0 <= j < n for j in est):
         raise ValueError("estimate indices out of range")
-    pos = set(truth.support)
+    pos = set(np.flatnonzero(truth).tolist())
     tp = len(pos & est)
     fp = len(est - pos)
     fn = len(pos - est)
-    return ConfusionCounts(tp, fp, truth.n - tp - fp - fn, fn)
+    return ConfusionCounts(tp, fp, n - tp - fp - fn, fn)
 
 
 @dataclass(frozen=True)
@@ -300,10 +300,10 @@ def aggregate(
 # trial execution
 
 
-def _comp_violations(signal: Signal, outcome: TrialOutcome, s: int) -> int:
+def _comp_violations(signal: np.ndarray, outcome: TrialOutcome, s: int) -> int:
     """True positives a part's support reduction wrongly eliminated."""
     count = 0
-    support = set(signal.support)
+    support = set(np.flatnonzero(signal).tolist())
     for diag in outcome.diagnostics:
         members = set()
         for pool in diag.pools:
@@ -338,7 +338,7 @@ def _run_trial(payload) -> dict:
         "comp_violations": _comp_violations(signal, outcome, cfg.s),
         # parts whose best candidate's load search hit the iteration cap
         "nonconverged": sum(not d.converged for d in outcome.diagnostics),
-        "support": [int(j) for j in signal.support],
+        "support": np.flatnonzero(signal).tolist(),
         "estimate": [int(j) for j in outcome.estimated_support],
     }
 

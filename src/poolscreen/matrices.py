@@ -14,10 +14,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -61,11 +63,13 @@ class WeightProfile:
     more columns (rows) than there are distinct patterns of that weight.
     """
 
-    col_weights: dict[int, int]
-    row_weights: dict[int, int]
+    col_weights: Mapping[int, int]
+    row_weights: Mapping[int, int]
 
     def __post_init__(self):
         for name in ("col_weights", "row_weights"):
+            # a read-only copy, so no edit can escape the checks or move the hash
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
             for w, c in getattr(self, name).items():
                 # bool is a subclass of int, so a JSON true would otherwise pass as 1
                 if any(isinstance(v, bool) or not isinstance(v, int) for v in (w, c)):
@@ -90,7 +94,7 @@ class WeightProfile:
                     )
 
     def __hash__(self) -> int:
-        # equality compares the dicts, so equal profiles list equal items
+        # equality compares the mappings, so equal profiles list equal items
         return hash(tuple(tuple(sorted(d.items())) for d in (self.col_weights, self.row_weights)))
 
     @property

@@ -1,8 +1,10 @@
-"""Signal generation and the multiplicative measurement noise model.
+"""Viral-load laws, signal draws and the multiplicative measurement noise model.
 
-Quantitative pooled tests report a non-negative reading per pool.  A reading
-is the underlying pooled quantity times a log-normal factor, so zero readings
-are exact: noise never turns a zero into a positive or vice versa.
+A signal is a plain read-only 1-D float array holding one non-negative load
+per sample; its support is its nonzero entries.  Quantitative pooled tests
+report a non-negative reading per pool.  A reading is the underlying pooled
+quantity times a log-normal factor, so zero readings are exact: noise never
+turns a zero into a positive or vice versa.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,35 +137,16 @@ def apply_noise_vec(y: np.ndarray, noise: NoiseModel, rng: np.random.Generator) 
 # signals
 
 
-@dataclass(frozen=True)
-class Signal:
-    """A length-n non-negative vector plus its support (indices of positives)."""
-
-    values: np.ndarray
-    support: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if np.any(values < 0):
-            raise ValueError("signal values must be non-negative")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "support", tuple(int(j) for j in np.flatnonzero(values > 0)))
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
 def generate_signal_fixed_k(
     n: int, k: int, law: UniformLoad, rng: np.random.Generator
-) -> Signal:
-    """Draw a signal with exactly k positives at uniformly random positions."""
+) -> np.ndarray:
+    """Draw a read-only signal with exactly k positives at uniformly random positions."""
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     values = np.zeros(n)
     if k:
         support = rng.choice(n, size=k, replace=False)
         values[support] = law.sample(rng, k)
-    return Signal(values)
+    values.flags.writeable = False
+    return values
 

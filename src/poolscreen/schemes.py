@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrices import BUILTIN_PROFILES, builtin_matrix, profile_sample
-from .model import NoiseModel, Signal, UniformLoad, apply_noise_vec
+from .model import NoiseModel, UniformLoad, apply_noise_vec
 from .recovery import (
     BudgetExceeded,
     DecoderConfig,
@@ -158,14 +158,22 @@ class _Meter:
         return apply_noise_vec(y, self.noise, self.rng)
 
 
-def _check_signal(signal: Signal, cfg: SchemeConfig) -> None:
-    if signal.n != cfg.n:
-        raise ValueError(f"signal length {signal.n} != q*s = {cfg.n}")
+def _check_signal(signal, n: int | None = None) -> np.ndarray:
+    """The signal as a 1-D float array of length n (when given), every entry
+    finite and >= 0.  A nan would fail every test of a reading, so its pool
+    would read as negative and lose its positives without an error."""
+    values = np.asarray(signal, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError(f"signal must be 1-D, got shape {values.shape}")
+    if n is not None and values.shape[0] != n:
+        raise ValueError(f"signal length {values.shape[0]} != q*s = {n}")
+    if not np.all((values >= 0.0) & (values < math.inf)):
+        raise ValueError("signal entries must be finite and >= 0")
+    return values
 
 
-def _stage1_readings(signal: Signal, cfg: SchemeConfig, meter: _Meter) -> np.ndarray:
-    blocks = np.asarray(signal.values).reshape(cfg.q, cfg.s)
-    return meter.read(blocks.sum(axis=1))
+def _stage1_readings(values: np.ndarray, cfg: SchemeConfig, meter: _Meter) -> np.ndarray:
+    return meter.read(values.reshape(cfg.q, cfg.s).sum(axis=1))
 
 
 def _prevalence(cfg: SchemeConfig, t: int) -> float:
@@ -187,12 +195,13 @@ def _stage2_matrix(cfg: SchemeConfig, rows: int, width: int, seed: int):
 # schemes
 
 
-def run_individual(signal: Signal, noise: NoiseModel, rng: np.random.Generator) -> TrialOutcome:
+def run_individual(signal, noise: NoiseModel, rng: np.random.Generator) -> TrialOutcome:
     """Test every sample alone; positives are exactly the nonzero readings."""
+    values = _check_signal(signal)
     meter = _Meter(noise, rng)
-    z = meter.read(np.asarray(signal.values))
+    z = meter.read(values)
     estimate = tuple(int(j) for j in np.flatnonzero(z > 0))
-    n = signal.n
+    n = values.shape[0]
     assert meter.count == n
     return TrialOutcome(
         estimated_support=estimate,
@@ -204,14 +213,13 @@ def run_individual(signal: Signal, noise: NoiseModel, rng: np.random.Generator) 
 
 
 def run_dorfman(
-    signal: Signal, cfg: SchemeConfig, noise: NoiseModel, rng: np.random.Generator
+    signal, cfg: SchemeConfig, noise: NoiseModel, rng: np.random.Generator
 ) -> TrialOutcome:
     """Pool once, then retest every member of each positive pool alone."""
-    _check_signal(signal, cfg)
+    values = _check_signal(signal, cfg.n)
     meter = _Meter(noise, rng)
-    z1 = _stage1_readings(signal, cfg, meter)
+    z1 = _stage1_readings(values, cfg, meter)
     positives = np.flatnonzero(z1 > 0)
-    values = np.asarray(signal.values)
     estimate: list[int] = []
     for l in positives:
         cols = np.arange(l * cfg.s, (l + 1) * cfg.s)
@@ -229,7 +237,7 @@ def run_dorfman(
 
 
 def _run_adaptive(
-    signal: Signal, cfg: SchemeConfig, noise: NoiseModel, rng: np.random.Generator
+    signal, cfg: SchemeConfig, noise: NoiseModel, rng: np.random.Generator
 ) -> TrialOutcome:
     """Stage 1, count estimates, then one coded stage 2 per part.
 
@@ -242,12 +250,11 @@ def _run_adaptive(
     stage-2 sampler builds a generator from it, but pinned designs draw the
     seed too, so sampled and pinned runs read the same noise.
     """
-    _check_signal(signal, cfg)
+    values = _check_signal(signal, cfg.n)
     meter = _Meter(noise, rng)
-    z1 = _stage1_readings(signal, cfg, meter)
+    z1 = _stage1_readings(values, cfg, meter)
     positives = np.flatnonzero(z1 > 0)
     t = positives.shape[0]
-    values = np.asarray(signal.values)
     s = cfg.s
     p = _prevalence(cfg, t)
     # one count estimate per positive pool; with none, p = 0 and nothing to count
@@ -307,11 +314,12 @@ def _run_adaptive(
 
 
 def run_scheme(
-    signal: Signal, cfg: SchemeConfig, noise: NoiseModel, rng: np.random.Generator
+    signal, cfg: SchemeConfig, noise: NoiseModel, rng: np.random.Generator
 ) -> TrialOutcome:
-    """Run one trial of cfg.scheme on signal."""
+    """Run one trial of cfg.scheme on signal, a 1-D array of q*s loads."""
     if cfg.scheme == "individual":
-        return run_individual(signal, noise, rng)
+        # run_individual takes no config, so the length is checked here
+        return run_individual(_check_signal(signal, cfg.n), noise, rng)
     if cfg.scheme == "dorfman":
         return run_dorfman(signal, cfg, noise, rng)
     return _run_adaptive(signal, cfg, noise, rng)

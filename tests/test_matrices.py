@@ -192,6 +192,22 @@ def test_weight_profile_hashes_by_its_weights():
     assert hash(BUILTIN_PROFILES[(5, 31)]) != hash(a)
 
 
+def test_weight_profile_is_read_only():
+    # an edit after the checks would also change the hash under _layout's cache
+    cols = {3: 16, 4: 15}
+    p = WeightProfile(col_weights=cols, row_weights={18: 6})
+    layout, before = matrices._layout(p), hash(p)
+    with pytest.raises(TypeError):
+        p.col_weights[3] = 15
+    with pytest.raises(TypeError):
+        p.row_weights[18] = 5
+    cols[3] = 15
+    assert p.col_weights == {3: 16, 4: 15}
+    assert p == BUILTIN_PROFILES[(6, 31)] and hash(p) == before
+    assert matrices._layout(p) is layout
+    assert matrices._layout(p)[0].tolist() == [3] * 16 + [4] * 15
+
+
 def _column_patterns(mat) -> list[tuple[int, ...]]:
     return [tuple(np.flatnonzero(col).tolist()) for col in mat.T]
 

@@ -22,9 +22,13 @@ from poolscreen.model import (
 def test_generate_signal_fixed_k_support_and_box():
     law = UniformLoad(1.0, 1000.0)
     sig = generate_signal_fixed_k(200, 17, law, np.random.default_rng(3))
-    assert len(sig.support) == 17
-    vals = sig.values[list(sig.support)]
+    assert sig.shape == (200,) and sig.dtype == np.float64
+    support = np.flatnonzero(sig)
+    assert len(support) == 17
+    vals = sig[support]
     assert np.all((vals >= 1.0) & (vals <= 1000.0))
+    with pytest.raises(ValueError, match="read-only"):
+        sig[0] = 1.0
 
 
 # ---------------------------------------------------------------- noise

@@ -855,6 +855,24 @@ def test_decode_exact_on_noiseless_distinguishable_instances():
     assert hits >= 5  # most draws are distinguishable
 
 
+def test_decoder_reaches_a_pool_count_above_its_estimate():
+    # one pool of 31 holds three positives whose summed load one positive
+    # could carry, so its count estimate is 1 at the prevalence of five
+    # positive pools; read exactly through the shipped 5 x 31 design, every
+    # row is positive and no column is screened out, and only a support of
+    # size 3 explains the readings
+    p = estimate_prevalence(5, 31, 31)
+    x = np.zeros(31)
+    x[[0, 1, 3]] = [120.0, 170.0, 230.0]
+    a, z = _exact_instance(builtin_matrix(5, 31), x)
+    assert estimate_pool_count(z[:1], 31, p, NOISE, LAW).tolist() == [1]
+    red = comp(a, z)
+    assert red.survivors.tolist() == list(range(31))
+    res = map_list_decode(red, DecoderConfig(), p, NOISE, LAW)
+    assert res.best.subset == (0, 1, 3)
+    assert res.estimate == (0, 1, 3)
+
+
 def test_decode_alpha_near_zero_unions_every_candidate():
     a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
     z = np.array([40.0, 70.0])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from poolscreen.harness import _comp_violations
 from poolscreen.matrices import BUILTIN_PROFILES, builtin_matrix
-from poolscreen.model import NoiseModel, Signal, UniformLoad, generate_signal_fixed_k
+from poolscreen.model import NoiseModel, UniformLoad, generate_signal_fixed_k
 from poolscreen import recovery, schemes
 from poolscreen.recovery import DecoderConfig, estimate_prevalence
 from poolscreen.schemes import (
@@ -30,9 +30,14 @@ def _cfg(scheme, **kw):
     return SchemeConfig(scheme=scheme, q=31, s=31, **kw)
 
 
+def _support(signal):
+    """The positives of a signal as an estimated support lists them."""
+    return tuple(np.flatnonzero(signal).tolist())
+
+
 def _positive_pools(signal, q, s):
     """Pools containing at least one true positive (noise preserves zeros)."""
-    return {j // s for j in signal.support}
+    return {j // s for j in _support(signal)}
 
 
 def _pool_columns(pools, s):
@@ -169,7 +174,7 @@ def test_individual_exact_recovery():
     rng = np.random.default_rng(7)
     signal = generate_signal_fixed_k(961, 10, LAW, rng)
     out = run_individual(signal, NOISE, rng)
-    assert out.estimated_support == signal.support
+    assert out.estimated_support == _support(signal)
     assert out.measurements_total == out.measurements_stage1 == 961
     assert out.measurements_stage2 == 0
     assert out.pipetting_ops == 961
@@ -178,14 +183,14 @@ def test_individual_exact_recovery():
 
 def test_individual_all_zero():
     rng = np.random.default_rng(0)
-    out = run_individual(Signal(np.zeros(50)), NOISE, rng)
+    out = run_individual(np.zeros(50), NOISE, rng)
     assert out.estimated_support == ()
     assert out.measurements_total == 50
 
 
 def test_dorfman_all_zero():
     rng = np.random.default_rng(0)
-    out = run_dorfman(Signal(np.zeros(961)), _cfg("dorfman"), NOISE, rng)
+    out = run_dorfman(np.zeros(961), _cfg("dorfman"), NOISE, rng)
     assert out.estimated_support == ()
     assert out.measurements_total == 31
     assert out.pipetting_ops == 961
@@ -198,7 +203,7 @@ def test_dorfman_exact_recovery_and_accounting():
         signal = generate_signal_fixed_k(961, 10, LAW, rng)
         out = run_dorfman(signal, cfg, NOISE, rng)
         t = len(_positive_pools(signal, cfg.q, cfg.s))
-        assert out.estimated_support == signal.support  # no false calls either way
+        assert out.estimated_support == _support(signal)  # no false calls either way
         assert out.measurements_total == cfg.q + t * cfg.s
         assert out.measurements_stage1 == cfg.q
         assert out.pipetting_ops == cfg.q * cfg.s + t * cfg.s
@@ -225,7 +230,38 @@ def test_dorfman_mean_matches_combinatorial_oracle():
 def test_signal_length_mismatch_raises():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="signal length"):
-        run_dorfman(Signal(np.zeros(100)), _cfg("dorfman"), NOISE, rng)
+        run_dorfman(np.zeros(100), _cfg("dorfman"), NOISE, rng)
+
+
+def _bad_signal(kind):
+    values = np.zeros(961)
+    values[[3, 40]] = [500.0, 700.0]
+    if kind == "nan":
+        # pool 0 would read nan, which no positive test passes
+        values[5] = np.nan
+    elif kind == "inf":
+        values[5] = np.inf
+    elif kind == "negative":
+        values[5] = -1.0
+    elif kind == "length":
+        values = values[:930]
+    elif kind == "2d":
+        values = values.reshape(31, 31)
+    return values
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "negative", "length", "2d"])
+@pytest.mark.parametrize("scheme", schemes.SCHEME_NAMES)
+def test_bad_signal_raises_before_any_reading(scheme, kind):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="signal"):
+        run_scheme(_bad_signal(kind), _cfg(scheme), NOISE, rng)
+    if scheme == "individual" and kind != "length":
+        # called directly it has no config, so no length to check against
+        with pytest.raises(ValueError, match="signal"):
+            run_individual(_bad_signal(kind), NOISE, rng)
+    assert rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +309,7 @@ def test_adaptive_recovery_smoke():
         rng = np.random.default_rng(seed)
         signal = generate_signal_fixed_k(961, 2, LAW, rng)
         out = run_scheme(signal, cfg, NOISE, rng)
-        hits += out.estimated_support == signal.support
+        hits += out.estimated_support == _support(signal)
     assert hits >= 2  # list decoding tolerates an occasional extra candidate
 
 
@@ -306,7 +342,7 @@ def _two_pool_signal():
     values[0] = 600.0
     values[1] = 900.0
     values[5 * 31] = 500.0
-    return Signal(values)
+    return values
 
 
 def test_stamp_pairs_sparse_pools():
@@ -325,7 +361,7 @@ def test_stamp_pairs_sparse_pools():
 def test_stamp_single_pool_uses_solo_table():
     values = np.zeros(961)
     values[40] = 700.0
-    out = run_scheme(Signal(values), _cfg("stamp"), NOISE, np.random.default_rng(4))
+    out = run_scheme(values, _cfg("stamp"), NOISE, np.random.default_rng(4))
     assert len(out.diagnostics) == 1
     assert out.diagnostics[0].pools == (1,)
     assert out.measurements_stage2 == 5
@@ -334,7 +370,7 @@ def test_stamp_single_pool_uses_solo_table():
 
 def test_all_pools_negative_short_circuits():
     for scheme in ("stap1", "stap2", "stamp"):
-        out = run_scheme(Signal(np.zeros(961)), _cfg(scheme), NOISE, np.random.default_rng(0))
+        out = run_scheme(np.zeros(961), _cfg(scheme), NOISE, np.random.default_rng(0))
         assert out.measurements_total == 31
         assert out.estimated_support == ()
         assert out.diagnostics == ()
@@ -353,7 +389,7 @@ def test_one_count_call_per_trial_with_a_positive_pool(monkeypatch):
     t = len(_positive_pools(signal, 31, 31))
     for scheme in ("stap1", "stap2", "stamp"):
         calls.clear()
-        run_scheme(Signal(np.zeros(961)), _cfg(scheme), NOISE, np.random.default_rng(0))
+        run_scheme(np.zeros(961), _cfg(scheme), NOISE, np.random.default_rng(0))
         assert calls == []
         run_scheme(signal, _cfg(scheme), NOISE, np.random.default_rng(0))
         assert len(calls) == 1 and len(calls[0]) == t
@@ -419,7 +455,7 @@ def test_parts_decode_through_the_name_for_their_kind(monkeypatch):
     run_scheme(_two_pool_signal(), _cfg("stamp"), NOISE, np.random.default_rng(2))
     values = np.zeros(961)
     values[40] = 700.0
-    run_scheme(Signal(values), _cfg("stamp"), NOISE, np.random.default_rng(4))
+    run_scheme(values, _cfg("stamp"), NOISE, np.random.default_rng(4))
     assert calls == ["mixed", "single"]
 
 
@@ -428,7 +464,7 @@ def test_run_scheme_dispatch():
     for scheme in ("individual", "dorfman", "stap1", "stap2", "stamp"):
         out = run_scheme(signal, _cfg(scheme), NOISE, np.random.default_rng(9))
         assert isinstance(out, TrialOutcome)
-        assert out.estimated_support == signal.support
+        assert out.estimated_support == _support(signal)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +478,7 @@ def test_every_pool_positive_still_decodes(scheme):
     values = np.zeros(62)
     values[[4, 40]] = [300.0, 520.0]
     cfg = SchemeConfig(scheme=scheme, q=2, s=31, pin_builtin_matrices=True)
-    out = run_scheme(Signal(values), cfg, NOISE, np.random.default_rng(3))
+    out = run_scheme(values, cfg, NOISE, np.random.default_rng(3))
     assert out.estimated_support == (4, 40)
 
 
@@ -467,7 +503,7 @@ def test_no_survivors_decodes_to_nothing(monkeypatch):
     monkeypatch.setattr(schemes._Meter, "read", stage2_zero)
     values = np.zeros(961)
     values[[0, 1]] = [600.0, 900.0]  # one pool, count estimate 2
-    out = run_scheme(Signal(values), cfg, NOISE, np.random.default_rng(2))
+    out = run_scheme(values, cfg, NOISE, np.random.default_rng(2))
     assert out.estimated_support == ()
     (diag,) = out.diagnostics
     assert diag.k_hats == (2,) and diag.stage2_rows == 6
@@ -479,7 +515,7 @@ def test_no_survivors_decodes_to_nothing(monkeypatch):
 def test_diagnostic_reports_optimizer_convergence(monkeypatch):
     values = np.zeros(961)
     values[[0, 1]] = [600.0, 900.0]  # one pool, count estimate 2
-    signal = Signal(values)
+    signal = values
     out = run_scheme(signal, _cfg("stap2"), NOISE, np.random.default_rng(2))
     assert [d.converged for d in out.diagnostics] == [True]
     assert out.diagnostics[0].survivors != ()
